@@ -91,13 +91,12 @@ class FeaturePartition:
         """Row positions for the given ids; MissingId if any is absent."""
         lookup = self._row_of  # type: ignore[attr-defined]
         ids = tuple(ids)
-        out = np.empty(len(ids), dtype=np.intp)
-        for j, s in enumerate(ids):
-            try:
-                out[j] = lookup[s]
-            except KeyError:
-                raise MissingId(f"sample id {s!r} not in partition") from None
-        return out
+        try:
+            return np.fromiter(map(lookup.__getitem__, ids), dtype=np.intp,
+                               count=len(ids))
+        except KeyError:
+            missing = next(s for s in ids if s not in lookup)
+            raise MissingId(f"sample id {missing!r} not in partition") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +125,11 @@ class TaskLabels:
     def lookup(self, ids: Sequence[SampleId]) -> np.ndarray:
         table = self._value_of  # type: ignore[attr-defined]
         try:
-            return np.array([table[s] for s in ids], dtype=np.float64)
-        except KeyError as exc:
-            raise MissingId(f"no label for sample id {exc.args[0]!r}") from None
+            return np.fromiter(map(table.__getitem__, ids), dtype=np.float64,
+                               count=len(ids))
+        except KeyError:
+            missing = next(s for s in ids if s not in table)
+            raise MissingId(f"no label for sample id {missing!r}") from None
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,17 @@ the byte hop entirely) is semantically identical to TCP.
 Payloads are schema-checked per kind at envelope construction. The FIT and
 PREDICT kinds only admit flat lists of scalars - a matrix-shaped field cannot
 even be built, which is how feature confinement is enforced structurally.
+
+Normalising and checking a payload array is one vectorised pass: a numeric
+ndarray is checked with a single ``np.isfinite`` and converted with
+``tolist()``, and a list whose elements are all exactly ``str``, all ``int``
+or all ``float`` is checked through the set of its element types (plus one
+``math.isfinite`` sweep for floats). Anything else - bools, numpy scalars or
+subclasses inside a list, nested lists, object arrays - takes the
+per-element path, which makes the same decisions. ``decode`` rejects the
+non-finite literals ``NaN``, ``Infinity`` and ``-Infinity`` while parsing,
+anywhere in the line, with NonFinitePayload; an overflowing literal such as
+``1e400`` still parses to infinity and is rejected by the envelope check.
 """
 
 from __future__ import annotations
@@ -42,7 +53,22 @@ KINDS = frozenset({
 def _plain(value):
     """Convert numpy containers to JSON-able python; ban non-finite floats."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iu":
+            return value.tolist()
+        # longdouble is left to the per-element path, which rejects it
+        if value.dtype.kind == "f" and value.dtype.itemsize <= 8:
+            if not np.isfinite(value).all():
+                raise err.NonFinitePayload("payload contains NaN or infinity")
+            return value.tolist()
         value = value.tolist()
+    if type(value) is list:
+        # a mixed int/float list takes the per-element path: math.isfinite
+        # overflows on an int beyond the float range, which is a valid value
+        types = set(map(type, value))
+        if types <= {int} or types == {float} or types == {str}:
+            if float in types and not all(map(math.isfinite, value)):
+                raise err.NonFinitePayload("payload contains NaN or infinity")
+            return list(value)
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float):
@@ -70,16 +96,29 @@ def _is_str(v):
     return isinstance(v, str)
 
 
+# The list checks first test the set of exact element types, which settles
+# the id and number vectors that _plain and json.loads build; a list holding
+# subclasses (bool, IntEnum, numpy scalars, str subclasses) or nested lists
+# falls back to the per-element test.
+
 def _is_id_list(v):
-    return isinstance(v, list) and all(isinstance(s, str) and s for s in v)
+    if not isinstance(v, list):
+        return False
+    if set(map(type, v)) <= {str}:
+        return all(v)
+    return all(isinstance(s, str) and s for s in v)
 
 
 def _is_num_list(v):
-    return isinstance(v, list) and all(_is_num(x) for x in v)
+    if not isinstance(v, list):
+        return False
+    return set(map(type, v)) <= {int, float} or all(_is_num(x) for x in v)
 
 
 def _is_int_list(v):
-    return isinstance(v, list) and all(_is_int(x) for x in v)
+    if not isinstance(v, list):
+        return False
+    return set(map(type, v)) <= {int} or all(_is_int(x) for x in v)
 
 
 def _is_matrix(v):
@@ -88,7 +127,7 @@ def _is_matrix(v):
     if not all(isinstance(row, list) for row in v):
         return False
     width = len(v[0])
-    return all(len(row) == width and all(_is_num(x) for x in row) for row in v)
+    return all(len(row) == width and _is_num_list(row) for row in v)
 
 
 # kind -> (required fields, optional fields)
@@ -179,11 +218,16 @@ def encode(envelope: Envelope) -> bytes:
     return text.encode("utf-8") + b"\n"
 
 
+def _reject_constant(name: str):
+    raise err.NonFinitePayload(f"non-finite literal {name} in message")
+
+
 def decode(data) -> Envelope:
     """Parse one line back into an Envelope.
 
     Raises MalformedMessage for anything that is not a single well-formed
-    line of the expected shape, UnsupportedVersion for a foreign ``v``.
+    line of the expected shape, UnsupportedVersion for a foreign ``v`` and
+    NonFinitePayload for a ``NaN``/``Infinity``/``-Infinity`` literal.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -196,7 +240,7 @@ def decode(data) -> Envelope:
     if "\n" in text:
         raise err.MalformedMessage("expected exactly one line")
     try:
-        body = json.loads(text)
+        body = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise err.MalformedMessage(f"bad JSON: {exc}") from None
     if not isinstance(body, dict):

@@ -25,8 +25,27 @@ def test_partition_basic_accessors():
     p = _part(["b", "a"], [[1.0, 2.0], [3.0, 4.0]], ["u", "v"])
     assert p.n_rows == 2 and p.n_cols == 2
     assert list(p.rows_for(["a", "b"])) == [1, 0]
-    with pytest.raises(err.MissingId):
-        p.rows_for(["a", "zzz"])
+    assert p.rows_for(x for x in "ba").dtype == np.intp
+    assert p.rows_for([]).shape == (0,)
+    with pytest.raises(err.MissingId, match="'zzz'"):
+        p.rows_for(["a", "zzz", "yyy"])
+
+
+def test_lookups_match_per_element_reference():
+    ids = [f"s{i:03d}" for i in range(200)]
+    rng = np.random.default_rng(3)
+    p = _part(ids, rng.standard_normal((200, 1)), ["u"])
+    lab = TaskLabels(ids=tuple(ids), values=rng.standard_normal(200))
+    query = [ids[i] for i in rng.permutation(200)[:120]]
+    rows = {s: r for r, s in enumerate(ids)}
+    label = dict(zip(ids, lab.values.tolist()))
+    assert p.rows_for(query).tolist() == [rows[s] for s in query]
+    assert lab.lookup(query).tolist() == [label[s] for s in query]
+    for bad in (query[:5] + ["zz"] + query[5:] + ["yy"], ["zz"]):
+        with pytest.raises(err.MissingId, match="'zz'"):
+            p.rows_for(bad)
+        with pytest.raises(err.MissingId, match="'zz'"):
+            lab.lookup(bad)
 
 
 def test_partition_is_immutable():
@@ -55,8 +74,9 @@ def test_partition_validation():
 def test_labels_lookup_and_validation():
     lab = TaskLabels(ids=("a", "b", "c"), values=np.array([1.0, 2.0, 3.0]))
     assert lab.lookup(["c", "a"]).tolist() == [3.0, 1.0]
-    with pytest.raises(err.MissingId):
-        lab.lookup(["nope"])
+    assert lab.lookup(()).shape == (0,)
+    with pytest.raises(err.MissingId, match="'nope'"):
+        lab.lookup(["a", "nope", "other"])
     with pytest.raises(err.DuplicateId):
         TaskLabels(ids=("a", "a"), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

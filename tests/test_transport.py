@@ -1,4 +1,6 @@
+import enum
 import json
+import math
 import socket
 import threading
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from assistlearn import errors as err
+from assistlearn import transport
 from assistlearn.core import FeaturePartition, LocalModule
 from assistlearn.learners import LearnerSpec, predict
 from assistlearn.transport import (Envelope, InProcEndpoint, ModuleResponder,
@@ -101,6 +104,177 @@ def test_decode_rejects_garbage():
         decode(line.replace('"v":1', '"v":"1"'))
     with pytest.raises(err.MalformedMessage):
         decode(line.replace("REFUSE", "GOSSIP"))
+
+
+# ---------------------------------------------------------------------------
+# vectorised payload path against the per-element reference
+# ---------------------------------------------------------------------------
+
+def _ref_plain(value):
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise err.NonFinitePayload("payload contains NaN or infinity")
+        return value
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_ref_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _ref_plain(v) for k, v in value.items()}
+    raise err.MalformedMessage(f"unsupported payload value {type(value).__name__}")
+
+
+def _ref_is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _ref_is_id_list(v):
+    return isinstance(v, list) and all(isinstance(s, str) and s for s in v)
+
+
+def _ref_is_num_list(v):
+    return isinstance(v, list) and all(_ref_is_num(x) for x in v)
+
+
+def _ref_is_int_list(v):
+    return isinstance(v, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in v)
+
+
+def _ref_is_matrix(v):
+    if not isinstance(v, list) or not v:
+        return isinstance(v, list)
+    if not all(isinstance(row, list) for row in v):
+        return False
+    width = len(v[0])
+    return all(len(row) == width and all(_ref_is_num(x) for x in row)
+               for row in v)
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Name(str):
+    pass
+
+
+_PAYLOAD_CASES = [
+    [], [""], ["a", "b"], ["a", _Name("b")], [None], ("a", 1),
+    [1, 2], [1.0, 2.5], [1.5, 2], [10 ** 400], [10 ** 400, 1.5],
+    [True], [1.0, True], [1, False],
+    [np.float64(1.5), 2.0], [np.int64(3), 4], [np.float32(0.1)],
+    [_Colour.RED], [_Colour.RED, 2], _Colour.RED,
+    [1.0, float("nan")], [float("inf")], [-math.inf, 1.0], [1, math.nan],
+    np.array([0.1, 2.5], dtype=np.float32), np.array([1.5], dtype=np.float16),
+    np.array([1, 2]), np.array([2 ** 63], dtype=np.uint64),
+    np.array([True, False]), np.array([], dtype=float), np.array([], dtype=int),
+    np.array(2.5), np.array(3), np.array(True), np.array(np.nan),
+    np.array([1.0, np.nan]), np.array([np.inf]), np.array([-np.inf, 0.0]),
+    np.zeros((2, 3)), np.array([[1.0, np.nan]]), np.arange(8).reshape(2, 2, 2),
+    [[1.0, 2.0], [3.0]], [[[1.0]]], [[1.0, math.inf]], [np.array([1.0, 2.0])],
+    np.array([1.0], dtype=np.longdouble), np.array([1j]), np.array(["a", "b"]),
+    np.array([1, "a"], dtype=object), np.array([1.0, None], dtype=object),
+    {"k": [1.0], 2: "v"}, {"k": object()}, object(),
+]
+
+
+def _typed(value):
+    """Structure and exact element types, for an element-wise comparison."""
+    if isinstance(value, list):
+        return list, [_typed(v) for v in value]
+    if isinstance(value, dict):
+        return dict, {k: _typed(v) for k, v in value.items()}
+    return type(value), value
+
+
+def _outcome(fn, value):
+    try:
+        return "ok", _typed(fn(value))
+    except err.AssistError as exc:
+        return "raise", type(exc)
+
+
+@pytest.mark.parametrize("value", _PAYLOAD_CASES)
+def test_plain_matches_per_element_reference(value):
+    assert _outcome(transport._plain, value) == _outcome(_ref_plain, value)
+
+
+_CHECK_CASES = [
+    [], [""], ["a"], ["a", ""], [_Name("x")], [_Name("")], [1], [1.0, 2],
+    [True], [1, True], [np.float64(1.0)], [np.int64(1)], [_Colour.RED],
+    [1.5], [None], [10 ** 400], [[1.0]], [[1.0, 2.0], [3.0, 4.0]],
+    [[1.0], [2.0, 3.0]], [[[1.0]]], [[True]], [[]], [[], []], [["a"]],
+    [[1, 2.5], [_Colour.RED, np.float64(2.0)]], "abc", None, (1, 2), 1.0,
+    {"a": 1},
+]
+
+
+@pytest.mark.parametrize("new, ref", [
+    (transport._is_id_list, _ref_is_id_list),
+    (transport._is_num_list, _ref_is_num_list),
+    (transport._is_int_list, _ref_is_int_list),
+    (transport._is_matrix, _ref_is_matrix),
+], ids=["ids", "num", "int", "matrix"])
+def test_list_checks_match_per_element_reference(new, ref):
+    for value in _CHECK_CASES:
+        assert bool(new(value)) == bool(ref(value)), value
+
+
+def test_fit_values_reject_a_two_dimensional_array():
+    with pytest.raises(err.MalformedMessage):
+        Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                 receiver="b",
+                 payload={"ids": ["a", "b"], "values": np.ones((2, 1))})
+
+
+def test_envelope_does_not_alias_the_callers_lists():
+    ids, values, rounds = ["a", "b"], [1.0, 2.0], [1, 2]
+    fit = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                   receiver="b", payload={"ids": ids, "values": values})
+    predict_env = Envelope(kind="PREDICT_REQUEST", task="t", round=1,
+                           sender="a", receiver="b",
+                           payload={"ids": ids, "rounds": rounds})
+    ids[0] = "z"
+    values.append(3.0)
+    rounds[1] = 7
+    assert fit.payload == {"ids": ["a", "b"], "values": [1.0, 2.0]}
+    assert predict_env.payload == {"ids": ["a", "b"], "rounds": [1, 2]}
+
+
+def test_payload_path_does_no_per_element_work(monkeypatch):
+    calls = dict.fromkeys(("_is_num", "_is_int", "_plain"), 0)
+
+    def counting(name):
+        real = getattr(transport, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(transport, name, counting(name))
+    n = 10_000
+    ids = [f"id{i:05d}" for i in range(n)]
+    fit = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                   receiver="b",
+                   payload={"ids": ids,
+                            "values": np.random.default_rng(0)
+                            .standard_normal(n)})
+    predict_env = Envelope(kind="PREDICT_REQUEST", task="t", round=1,
+                           sender="a", receiver="b",
+                           payload={"ids": ids, "rounds": list(range(1, 11))})
+    for env in (fit, predict_env):
+        assert decode(encode(env)) == env
+    assert calls["_is_num"] == 0
+    assert calls["_is_int"] == 0
+    # one call per payload and per field, on each side of each trip
+    assert calls["_plain"] == 12
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +492,24 @@ def test_wrong_version_over_the_wire():
             reply = decode(conn.makefile("rb").readline())
     assert reply.kind == "ERROR"
     assert reply.payload["error"] == "UnsupportedVersion"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_literals_are_rejected_on_the_wire(literal):
+    module = _module(seed=15)
+    ids = list(module.partition.ids)
+    good = encode(_fit_env(module, ids, [0.25] * len(ids)))
+    bad = good.replace(b"0.25", literal.encode(), 1)
+    assert bad != good
+    with pytest.raises(err.NonFinitePayload):
+        decode(bad)
+    with serve_module(module) as server:
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5.0) as conn:
+            reader = conn.makefile("rb")
+            conn.sendall(bad)
+            reply = decode(reader.readline())
+            assert reply.kind == "ERROR"
+            assert reply.payload["error"] == "NonFinitePayload"
+            conn.sendall(good)
+            assert decode(reader.readline()).kind == "FIT_RESPONSE"
