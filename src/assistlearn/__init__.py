@@ -20,15 +20,14 @@ from .nn_protocol import (NnConfig, NnTrainResult, PartialPreactivation,
                           SharedWeights, SplitNetworkState,
                           alice_update_round, bob_update_round, nn_predict,
                           run_nn_learning, split_forward)
-from .protocol import (BaselineMetrics, PairwiseTask, ProtocolConfig,
-                       ResidualMessage, RoundRecord, TrainedTask, assist_fit,
-                       argmin_round, oracle_baseline, per_round_predictions,
-                       predict_stage, run_learning_stage, stacking_baseline,
-                       stop_check, stopped_round)
+from .protocol import (BaselineMetrics, ProtocolConfig, ResidualMessage,
+                       RoundRecord, TrainedTask, assist_fit, argmin_round,
+                       oracle_baseline, per_round_predictions, predict_stage,
+                       run_learning_stage, stacking_baseline, stop_check,
+                       stopped_round)
 from .transport import (Envelope, InProcEndpoint, ModuleResponder,
                         TcpEndpoint, TcpModuleServer, decode, encode,
-                        local_endpoint, request, serve_module,
-                        validate_payload)
+                        local_endpoint, serve_module, validate_payload)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "AssistError", "BaselineMetrics", "CollationIndex", "Envelope",
     "ExperimentConfig", "FeaturePartition", "FittedModel", "InProcEndpoint",
     "LearnerSpec", "LocalModule", "ModuleResponder", "NnConfig",
-    "NnTrainResult", "PairwiseTask", "PartialPreactivation", "ProtocolConfig",
+    "NnTrainResult", "PartialPreactivation", "ProtocolConfig",
     "Report", "ResidualMessage", "RoundRecord", "SharedWeights",
     "SplitNetworkState", "SplitSpec", "SyntheticSpec", "TaskLabels",
     "TcpEndpoint", "TcpModuleServer", "TrainedTask", "TransportError",
@@ -45,7 +44,7 @@ __all__ = [
     "derive_seed", "encode", "fit_learner", "format_table", "gen_friedman1",
     "gen_linear", "generate", "load_csv", "local_endpoint", "mad",
     "nn_predict", "oracle_baseline", "per_round_predictions", "predict",
-    "predict_stage", "request", "rmse", "run_experiment",
+    "predict_stage", "rmse", "run_experiment",
     "run_learning_stage", "run_nn_learning", "save_csv", "serve_module",
     "split", "split_forward", "stacking_baseline", "stop_check",
     "stopped_round", "validate_payload", "vertical_split",

@@ -39,10 +39,7 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-# construction problems are caller bugs, not protocol events; plain ValueError
-DimensionError = ValueError
-
-
+# construction problems are caller bugs, not protocol events: plain ValueError
 @dataclass(frozen=True, eq=False)
 class FeaturePartition:
     """One participant's vertical slice: ids, a float64 matrix, column names."""
@@ -56,24 +53,24 @@ class FeaturePartition:
         object.__setattr__(self, "ids", ids)
         feats = np.array(self.features, dtype=np.float64)
         if feats.ndim != 2:
-            raise DimensionError(f"features must be 2-D, got shape {feats.shape}")
+            raise ValueError(f"features must be 2-D, got shape {feats.shape}")
         if feats.shape[0] != len(ids):
-            raise DimensionError(
+            raise ValueError(
                 f"{len(ids)} ids but {feats.shape[0]} feature rows"
             )
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != feats.shape[1]:
-            raise DimensionError(
+            raise ValueError(
                 f"{len(names)} names for {feats.shape[1]} columns"
             )
         if len(set(names)) != len(names):
-            raise DimensionError("feature names must be unique")
+            raise ValueError("feature names must be unique")
         if any(not i for i in ids):
-            raise DimensionError("empty sample id")
+            raise ValueError("empty sample id")
         if len(set(ids)) != len(ids):
             raise DuplicateId("duplicate sample ids in partition")
         if not np.all(np.isfinite(feats)):
-            raise DimensionError("features must be finite")
+            raise ValueError("features must be finite")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", names)
@@ -110,13 +107,13 @@ class TaskLabels:
         ids = tuple(str(i) for i in self.ids)
         vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1:
-            raise DimensionError(f"labels must be 1-D, got shape {vals.shape}")
+            raise ValueError(f"labels must be 1-D, got shape {vals.shape}")
         if len(ids) != vals.shape[0]:
-            raise DimensionError(f"{len(ids)} ids but {vals.shape[0]} labels")
+            raise ValueError(f"{len(ids)} ids but {vals.shape[0]} labels")
         if len(set(ids)) != len(ids):
             raise DuplicateId("duplicate sample ids in labels")
         if not np.all(np.isfinite(vals)):
-            raise DimensionError("labels must be finite")
+            raise ValueError("labels must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", vals)
@@ -156,7 +153,7 @@ def collate(partitions: Sequence[FeaturePartition]) -> CollationIndex:
     Raises EmptyIntersection when no id is common to all partitions.
     """
     if not partitions:
-        raise DimensionError("collate needs at least one partition")
+        raise ValueError("collate needs at least one partition")
     common = set(partitions[0].ids)
     for part in partitions[1:]:
         common &= set(part.ids)

@@ -1,7 +1,8 @@
 """Experiment runner: assisted runs vs oracle/solo/stacking, with reports.
 
 A JSON config names the data, the feature groups (first group is the label
-owner), the learners, the protocol mode, and how many replications to run.
+owner), the learners, the mode (residual chain or split network), and how
+many replications to run.
 ``run_experiment`` traces the full per-round metric curves for every
 replication, applies the stopping rule after the fact, fits the requested
 baselines, and aggregates means with standard errors. Reports are written as
@@ -29,12 +30,12 @@ from .data import SplitSpec, SyntheticSpec, generate, load_csv
 from .data import split as id_split
 from .data import split_counts
 from .learners import LearnerSpec
-from .metrics import mad, rmse
+from .metrics import mad, rms, rmse
 from .nn_protocol import NnConfig, nn_predict, run_nn_learning
 from .protocol import (BaselineMetrics, ProtocolConfig, argmin_round,
                        oracle_baseline, per_round_predictions, predict_stage,
                        run_learning_stage, stacking_baseline, stopped_round)
-from .transport import InProcEndpoint, ModuleResponder, serve_module
+from .transport import local_endpoint, serve_module
 
 log = logging.getLogger("assistlearn")
 
@@ -333,8 +334,7 @@ class _Endpoints:
             self.servers = [serve_module(m) for m in helpers]
             self.endpoints = [s.endpoint() for s in self.servers]
         else:
-            self.endpoints = [InProcEndpoint(ModuleResponder(m))
-                              for m in helpers]
+            self.endpoints = [local_endpoint(m) for m in helpers]
 
     def __enter__(self):
         return self.endpoints
@@ -347,10 +347,6 @@ class _Endpoints:
 # ---------------------------------------------------------------------------
 # single replication
 # ---------------------------------------------------------------------------
-
-def _vec_rmse(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(values))))
-
 
 def _chain_replication(config, rep, full, labels, train_ids, test_ids):
     rep_seed = derive_seed(config.seed, "rep", rep)
@@ -376,7 +372,7 @@ def _chain_replication(config, rep, full, labels, train_ids, test_ids):
     rounds = []
     for rec, row in zip(task.records, curves):
         rounds.append({"round": rec.round,
-                       "train_rmse": _vec_rmse(rec.residual_after),
+                       "train_rmse": rms(rec.residual_after),
                        "validation_rmse": rec.validation_rmse,
                        "test_rmse": rmse(y_test, row),
                        "test_mad": mad(y_test, row),

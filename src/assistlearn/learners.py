@@ -160,8 +160,6 @@ class BoostingModel(FittedModel):
     base_value: float = 0.0
     shrinkage: float = 0.0
     trees: tuple = ()
-    training_residual: np.ndarray = None
-    stage_train_mse: tuple = ()
 
     def _predict(self, X):
         # accumulate in the exact order used during fitting, so the residual
@@ -338,8 +336,9 @@ def fit_gradient_boosting(X, y, stages: int = 100, max_depth: int = 3,
 
     The running prediction is kept explicitly and every residual is computed
     as y minus that accumulator, so re-predicting on the training matrix
-    reproduces the recorded residuals bit-for-bit. Training MSE per stage is
-    recorded; with shrinkage in (0, 2] it never increases.
+    reproduces the fitting residuals bit-for-bit, and a prefix of ``trees``
+    predicts exactly what a fit with that many stages would. With shrinkage
+    in (0, 2] the training MSE never increases from one stage to the next.
     """
     X, y = _check_xy(X, y)
     if stages < 1:
@@ -349,19 +348,14 @@ def fit_gradient_boosting(X, y, stages: int = 100, max_depth: int = 3,
     base = float(y.mean())
     pred = np.full(y.shape[0], base, dtype=np.float64)
     trees = []
-    mses = []
     for _ in range(stages):
-        resid = y - pred
-        tree = fit_regression_tree(X, resid, max_depth=max_depth,
+        tree = fit_regression_tree(X, y - pred, max_depth=max_depth,
                                    min_leaf=min_leaf)
         pred += shrinkage * _tree_apply(tree.root, X)
         trees.append(tree.root)
-        resid = y - pred
-        mses.append(float(np.mean(resid * resid)))
     return BoostingModel(kind="gradient_boosting", n=X.shape[0], p=X.shape[1],
                          base_value=base, shrinkage=shrinkage,
-                         trees=tuple(trees), training_residual=y - pred,
-                         stage_train_mse=tuple(mses))
+                         trees=tuple(trees))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,15 @@ def _pair(y_true, y_pred):
     return a, b
 
 
+def rms(values: np.ndarray) -> float:
+    """Root mean square of a float vector (a residual's RMSE against zero)."""
+    return float(np.sqrt(np.mean(values * values)))
+
+
 def rmse(y_true, y_pred) -> float:
     """Root mean squared error."""
     a, b = _pair(y_true, y_pred)
-    d = a - b
-    return float(np.sqrt(np.mean(d * d)))
+    return rms(a - b)
 
 
 def mad(y_true, y_pred) -> float:

@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align, derive_seed
-from .data import SplitSpec, split as id_split
+from .core import LocalModule, TaskLabels, align
 from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
-from .protocol import argmin_round, stop_check, _roundtrip
+from .protocol import (argmin_round, stop_check, _alice_rows,
+                       _echo_roundtrip, _roundtrip, _working_sets)
 from .transport import Envelope, InProcEndpoint, ModuleResponder
 
 log = logging.getLogger("assistlearn")
@@ -248,19 +248,8 @@ def run_nn_learning(alice: LocalModule, bob, labels: TaskLabels,
     """
     task_id = task_id if task_id is not None else f"nn-task-{config.seed}"
     bob_ep, bob_responder = _as_endpoint(bob)
-    work_ids = sorted(set(labels.ids) & set(alice.partition.ids))
-    if not work_ids:
-        raise err.CollationFailure(
-            "labels and alice's partition share no sample id")
-    if config.holdout_fraction > 0.0 and len(work_ids) >= 2:
-        train_ids, hold_ids = id_split(
-            tuple(work_ids),
-            SplitSpec(fraction=1.0 - config.holdout_fraction,
-                      seed=derive_seed(config.seed, "holdout")))
-        if not train_ids:
-            train_ids, hold_ids = tuple(work_ids), ()
-    else:
-        train_ids, hold_ids = tuple(work_ids), ()
+    train_ids, hold_ids = _working_sets(alice, labels,
+                                        config.holdout_fraction, config.seed)
     X_train = align(alice.partition, train_ids)
     y_train = labels.lookup(train_ids)
     p_alice = X_train.shape[1]
@@ -270,8 +259,8 @@ def run_nn_learning(alice: LocalModule, bob, labels: TaskLabels,
                      payload={"ids": list(train_ids), "values": y_train,
                               "seed": config.seed, "hidden": config.hidden,
                               "peer_cols": p_alice})
-    ack = _roundtrip(bob_ep, setup, config.timeout)
-    if ack.kind != "LABELS_TRANSFER" or "own_cols" not in ack.payload:
+    ack = _roundtrip(bob_ep, setup, config.timeout, "LABELS_TRANSFER")
+    if "own_cols" not in ack.payload:
         raise err.MalformedMessage("bad LABELS_TRANSFER ack")
     p_bob = int(ack.payload["own_cols"])
     solo = p_bob == 0
@@ -281,9 +270,12 @@ def run_nn_learning(alice: LocalModule, bob, labels: TaskLabels,
     w_alice = np.array(w_full[:p_alice])
     shared = SharedWeights(b_hidden=b_hidden, w_out=w_out, b_out=b_out)
     opt = config.opt()
+    # validate on the holdout rows, or on the training rows when there are none
+    val_ids, X_val, y_val = train_ids, X_train, y_train
     if hold_ids:
-        X_hold = align(alice.partition, hold_ids)
-        y_hold = labels.lookup(hold_ids)
+        val_ids = hold_ids
+        X_val = align(alice.partition, hold_ids)
+        y_val = labels.lookup(hold_ids)
 
     snapshots = {0: (w_alice.copy(), shared)}
     history: list[float] = []
@@ -305,28 +297,17 @@ def run_nn_learning(alice: LocalModule, bob, labels: TaskLabels,
                          "b_out": shared.b_out, "ids": list(train_ids),
                          "matrix": partial, "rate": opt.rate,
                          "batch": opt.batch, "epochs": opt.epochs}),
-                config.timeout)
-            if reply.kind != "WTILDE_TRANSFER":
-                raise err.MalformedMessage(
-                    f"expected WTILDE_TRANSFER, got {reply.kind}")
+                config.timeout, "WTILDE_TRANSFER")
             shared = SharedWeights(b_hidden=np.array(reply.payload["b_hidden"]),
                                    w_out=np.array(reply.payload["w_out"]),
                                    b_out=reply.payload["b_out"])
         snapshots[round_no] = (w_alice.copy(), shared)
-        if hold_ids:
-            other = None if solo else _fetch_partial(
-                bob_ep, alice.module_id, task_id, round_no, hold_ids,
-                config.timeout)
-            pred = dense_forward(X_hold, other, w_alice, shared.b_hidden,
-                                 shared.w_out, shared.b_out)
-            history.append(rmse(y_hold, pred))
-        else:
-            other = None if solo else _fetch_partial(
-                bob_ep, alice.module_id, task_id, round_no, train_ids,
-                config.timeout)
-            pred = dense_forward(X_train, other, w_alice, shared.b_hidden,
-                                 shared.w_out, shared.b_out)
-            history.append(rmse(y_train, pred))
+        other = None if solo else _fetch_partial(
+            bob_ep, alice.module_id, task_id, round_no, val_ids,
+            config.timeout)
+        pred = dense_forward(X_val, other, w_alice, shared.b_hidden,
+                             shared.w_out, shared.b_out)
+        history.append(rmse(y_val, pred))
         timings.append(time.perf_counter() - started)
         if stop_check(history, config.patience, config.tol_rel):
             log.info("split network %s plateaued after round %d",
@@ -358,15 +339,10 @@ def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
 
     ``upto`` picks any executed round (default: the chosen best round). Bob
     is queried for his partial at that round; if he is unreachable, the
-    transport error propagates - no partial predictions.
+    transport error propagates - no partial predictions. ``alice_features``
+    (one row per id) overrides alice's own lookup.
     """
-    if alice_features is None:
-        try:
-            X = align(alice.partition, ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-    else:
-        X = np.asarray(alice_features, dtype=np.float64)
+    X = _alice_rows(alice, ids, alice_features)
     round_no = result.best_round if upto is None else upto
     try:
         w_alice, shared = result.alice_rounds[round_no]
@@ -386,15 +362,7 @@ def _fetch_partial(endpoint, sender, task_id, round_no, ids,
     env = Envelope(kind="PARTIAL_PREACT", task=task_id, round=round_no,
                    sender=sender, receiver=endpoint.module_id,
                    payload={"ids": list(ids)})
-    reply = _roundtrip(endpoint, env, timeout)
-    if reply.kind != "PARTIAL_PREACT" or "matrix" not in reply.payload:
-        raise err.MalformedMessage("expected PARTIAL_PREACT with a matrix")
-    if tuple(reply.payload["ids"]) != tuple(ids):
-        raise err.ShapeMismatch("reply ids differ from request ids")
-    matrix = np.array(reply.payload["matrix"], dtype=np.float64)
-    if matrix.shape[0] != len(ids):
-        raise err.ShapeMismatch("partial row count differs from request")
-    return matrix
+    return _echo_roundtrip(endpoint, env, timeout, "PARTIAL_PREACT", "matrix")
 
 
 def _as_endpoint(bob):

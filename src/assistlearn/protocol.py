@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import errors as err
 from .core import LocalModule, TaskLabels, align, derive_seed
 from .data import SplitSpec, split as id_split
 from .learners import LearnerSpec, fit_learner, predict
-from .metrics import mad, rmse
+from .metrics import mad, rms, rmse
 from .transport import Envelope
 
 log = logging.getLogger("assistlearn")
@@ -91,7 +91,6 @@ class TrainedTask:
     records: tuple[RoundRecord, ...]
     best_round: int
     refusals: tuple[tuple[int, str], ...] = ()
-    mode: str = "chain"
 
     @property
     def validation_history(self) -> list[float]:
@@ -103,25 +102,15 @@ class TrainedTask:
                 if module_id in r.participants]
 
 
-@dataclass
-class PairwiseTask:
-    """Independent two-party chains, one per assistant; predictions average."""
-
-    task_id: str
-    chains: tuple[TrainedTask, ...]
-    mode: str = "pairwise"
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Orchestrator knobs for the learning stage."""
+    """Orchestrator knobs for the residual chain's learning stage."""
 
     max_rounds: int = 25
     patience: int = 3
     tol_rel: float = 1e-4
     holdout_fraction: float = 0.2
     seed: int = 0
-    mode: str = "chain"                 # "chain" | "pairwise"
     timeout: float = 30.0
 
     def __post_init__(self):
@@ -133,8 +122,6 @@ class ProtocolConfig:
             raise ValueError("tol_rel must be >= 0")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in [0, 1)")
-        if self.mode not in ("chain", "pairwise"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +203,7 @@ def argmin_round(history: Sequence[float]) -> int:
 def run_learning_stage(alice: LocalModule, assistants: Sequence,
                        labels: TaskLabels,
                        config: ProtocolConfig = ProtocolConfig(),
-                       task_id: Optional[str] = None):
+                       task_id: Optional[str] = None) -> TrainedTask:
     """Train a task over the assistant chain; returns the task record.
 
     ``assistants`` are endpoints (in-process or TCP). The working id set is
@@ -225,30 +212,9 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
     for the remaining rounds (the event is recorded).
     """
     task_id = task_id if task_id is not None else f"task-{config.seed}"
-    if config.mode == "pairwise":
-        return _run_pairwise(alice, assistants, labels, config, task_id)
-    return _run_chain(alice, list(assistants), labels, config, task_id)
-
-
-def _working_sets(alice, labels, config):
-    work_ids = sorted(set(labels.ids) & set(alice.partition.ids))
-    if not work_ids:
-        raise err.CollationFailure(
-            "labels and alice's partition share no sample id")
-    if config.holdout_fraction > 0.0 and len(work_ids) >= 2:
-        train_ids, hold_ids = id_split(
-            tuple(work_ids),
-            SplitSpec(fraction=1.0 - config.holdout_fraction,
-                      seed=derive_seed(config.seed, "holdout")))
-        if not train_ids:            # tiny sets can floor to zero
-            train_ids, hold_ids = tuple(work_ids), ()
-    else:
-        train_ids, hold_ids = tuple(work_ids), ()
-    return train_ids, hold_ids
-
-
-def _run_chain(alice, chain, labels, config, task_id) -> TrainedTask:
-    train_ids, hold_ids = _working_sets(alice, labels, config)
+    chain = list(assistants)
+    train_ids, hold_ids = _working_sets(alice, labels,
+                                        config.holdout_fraction, config.seed)
     y_train = labels.lookup(train_ids)
     X_train = align(alice.partition, train_ids)
     if hold_ids:
@@ -270,7 +236,7 @@ def _run_chain(alice, chain, labels, config, task_id) -> TrainedTask:
         model = fit_learner(alice.learner, X_train, residual, seed=seed)
         alice.record_model(task_id, round_no, model)
         residual = residual - predict(model, X_train)
-        halfsteps.append(_vec_rmse(residual))
+        halfsteps.append(rms(residual))
         participants.append(alice.module_id)
         if hold_ids:
             cum_hold += predict(model, X_hold)
@@ -285,7 +251,7 @@ def _run_chain(alice, chain, labels, config, task_id) -> TrainedTask:
                 log.info("module %s refused task %s at round %d; dropped",
                          ep.module_id, task_id, round_no)
                 continue
-            halfsteps.append(_vec_rmse(residual))
+            halfsteps.append(rms(residual))
             participants.append(ep.module_id)
             if hold_ids:
                 cum_hold += _predict_round_trip(ep, alice.module_id, task_id,
@@ -294,7 +260,7 @@ def _run_chain(alice, chain, labels, config, task_id) -> TrainedTask:
         if hold_ids:
             val = rmse(y_hold, cum_hold)
         else:
-            val = _vec_rmse(residual)
+            val = rms(residual)
         history.append(val)
         records.append(RoundRecord(round=round_no,
                                    participants=tuple(participants),
@@ -313,50 +279,69 @@ def _run_chain(alice, chain, labels, config, task_id) -> TrainedTask:
                        refusals=tuple(refusals))
 
 
-def _run_pairwise(alice, assistants, labels, config, task_id) -> PairwiseTask:
-    chain_cfg = replace(config, mode="chain")
-    chains = []
-    for ep in assistants:
-        sub_id = task_id if len(assistants) == 1 \
-            else f"{task_id}#pair-{ep.module_id}"
-        chains.append(_run_chain(alice, [ep], labels, chain_cfg, sub_id))
-    return PairwiseTask(task_id=task_id, chains=tuple(chains))
+def _working_sets(alice, labels, holdout_fraction: float, seed: int):
+    """Sorted ids shared by the labels and alice, split into (train, holdout)."""
+    work_ids = sorted(set(labels.ids) & set(alice.partition.ids))
+    if not work_ids:
+        raise err.CollationFailure(
+            "labels and alice's partition share no sample id")
+    if holdout_fraction > 0.0 and len(work_ids) >= 2:
+        train_ids, hold_ids = id_split(
+            tuple(work_ids),
+            SplitSpec(fraction=1.0 - holdout_fraction,
+                      seed=derive_seed(seed, "holdout")))
+        if not train_ids:            # tiny sets can floor to zero
+            train_ids, hold_ids = tuple(work_ids), ()
+    else:
+        train_ids, hold_ids = tuple(work_ids), ()
+    return train_ids, hold_ids
 
 
 # ---------------------------------------------------------------------------
 # prediction stage
 # ---------------------------------------------------------------------------
 
-def predict_stage(task, alice: LocalModule, assistants: Sequence,
+def _alice_rows(alice: LocalModule, ids: Sequence[str],
+               alice_features: Optional[np.ndarray]) -> np.ndarray:
+    """Alice's feature rows for ``ids``: her partition, or the override.
+
+    An id absent from her partition raises MissingTestRows; an override
+    must have one row per id (ShapeMismatch otherwise).
+    """
+    if alice_features is None:
+        try:
+            return align(alice.partition, ids)
+        except err.MissingId as exc:
+            raise err.MissingTestRows(str(exc)) from None
+    X = np.asarray(alice_features, dtype=np.float64)
+    if X.shape[0] != len(ids):
+        raise err.ShapeMismatch(f"{X.shape[0]} feature rows for {len(ids)} ids")
+    return X
+
+
+def _endpoint_for(by_id: dict, module_id: str):
+    try:
+        return by_id[module_id]
+    except KeyError:
+        raise err.MissingTestRows(
+            f"no endpoint for module {module_id!r}") from None
+
+
+def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
                   ids: Sequence[str],
                   alice_features: Optional[np.ndarray] = None,
                   upto: Optional[int] = None,
                   timeout: float = 30.0) -> np.ndarray:
-    """Sum of every recorded model's prediction over rounds 1..K.
+    """Sum of every recorded chain model's prediction over rounds 1..K.
 
     ``ids`` must be resolvable in each participating module's partition;
-    ``alice_features`` overrides alice's own lookup for rows she never
-    stored. ``upto`` overrides K (the recorded best round).
+    ``alice_features`` (one row per id) overrides alice's own lookup for
+    rows she never stored. ``upto`` overrides K (the recorded best round).
     """
-    if isinstance(task, PairwiseTask):
-        parts = [predict_stage(c, alice, assistants, ids,
-                               alice_features=alice_features,
-                               upto=upto, timeout=timeout)
-                 for c in task.chains]
-        return np.mean(parts, axis=0)
     upto = task.best_round if upto is None else upto
     if upto < 1 or upto > len(task.records):
         raise err.UnknownRound(f"round {upto} outside recorded range")
-    if alice_features is None:
-        try:
-            X = align(alice.partition, ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-    else:
-        X = np.asarray(alice_features, dtype=np.float64)
-        if X.shape[0] != len(ids):
-            raise err.ShapeMismatch(
-                f"{X.shape[0]} feature rows for {len(ids)} ids")
+    X = _alice_rows(alice, ids, alice_features)
     out = np.zeros(len(ids))
     for k in task.rounds_for(alice.module_id, upto):
         out += predict(alice.stored_model(task.task_id, k), X)
@@ -365,17 +350,13 @@ def predict_stage(task, alice: LocalModule, assistants: Sequence,
         rounds = task.rounds_for(module_id, upto)
         if not rounds:
             continue
-        try:
-            ep = by_id[module_id]
-        except KeyError:
-            raise err.MissingTestRows(
-                f"no endpoint for module {module_id!r}") from None
-        out += _predict_round_trip(ep, alice.module_id, task.task_id,
-                                   rounds, ids, timeout)
+        out += _predict_round_trip(_endpoint_for(by_id, module_id),
+                                   alice.module_id, task.task_id, rounds, ids,
+                                   timeout)
     return out
 
 
-def per_round_predictions(task, alice, assistants, ids,
+def per_round_predictions(task: TrainedTask, alice, assistants, ids,
                           alice_features: Optional[np.ndarray] = None,
                           timeout: float = 30.0) -> np.ndarray:
     """Cumulative prediction after each round, stacked (rounds, len(ids)).
@@ -383,23 +364,7 @@ def per_round_predictions(task, alice, assistants, ids,
     Row k-1 equals predict_stage with upto=k; computed incrementally so each
     model is evaluated once.
     """
-    if isinstance(task, PairwiseTask):
-        per_chain = [per_round_predictions(c, alice, assistants, ids,
-                                           alice_features=alice_features,
-                                           timeout=timeout)
-                     for c in task.chains]
-        depth = max(m.shape[0] for m in per_chain)
-        # chains can stop at different rounds; extend each with its last row
-        padded = [np.vstack([m, np.repeat(m[-1:], depth - m.shape[0], axis=0)])
-                  if m.shape[0] < depth else m for m in per_chain]
-        return np.mean(padded, axis=0)
-    if alice_features is None:
-        try:
-            X = align(alice.partition, ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-    else:
-        X = np.asarray(alice_features, dtype=np.float64)
+    X = _alice_rows(alice, ids, alice_features)
     by_id = {ep.module_id: ep for ep in assistants}
     cum = np.zeros(len(ids))
     rows = []
@@ -408,9 +373,9 @@ def per_round_predictions(task, alice, assistants, ids,
             if module_id == alice.module_id:
                 cum += predict(alice.stored_model(task.task_id, rec.round), X)
             else:
-                cum += _predict_round_trip(by_id[module_id], alice.module_id,
-                                           task.task_id, [rec.round], ids,
-                                           timeout)
+                cum += _predict_round_trip(_endpoint_for(by_id, module_id),
+                                           alice.module_id, task.task_id,
+                                           [rec.round], ids, timeout)
         rows.append(cum.copy())
     return np.vstack(rows)
 
@@ -527,7 +492,13 @@ def _normalize_bases(base_specs, n_parts):
 # wire helpers
 # ---------------------------------------------------------------------------
 
-def _roundtrip(endpoint, env: Envelope, timeout: float) -> Envelope:
+def _roundtrip(endpoint, env: Envelope, timeout: float,
+               expect: str) -> Envelope:
+    """Send ``env``; return the reply if it is of kind ``expect``.
+
+    REFUSE raises AssistantRefused, ERROR re-raises the remote error and
+    any other kind is MalformedMessage.
+    """
     reply = endpoint.request(env, timeout=timeout)
     if reply.kind == "REFUSE":
         raise err.AssistantRefused(
@@ -535,7 +506,25 @@ def _roundtrip(endpoint, env: Envelope, timeout: float) -> Envelope:
             f"{reply.payload.get('reason', '')}")
     if reply.kind == "ERROR":
         _raise_remote(reply)
+    if reply.kind != expect:
+        raise err.MalformedMessage(f"expected {expect}, got {reply.kind}")
     return reply
+
+
+def _echo_roundtrip(endpoint, env: Envelope, timeout: float, expect: str,
+                    field: str) -> np.ndarray:
+    """Round trip whose reply echoes the request ids; returns the reply's
+    ``field`` as float64 with one row per id."""
+    reply = _roundtrip(endpoint, env, timeout, expect)
+    ids = env.payload["ids"]
+    if reply.payload["ids"] != ids:
+        raise err.ShapeMismatch("reply ids differ from request ids")
+    if field not in reply.payload:
+        raise err.MalformedMessage(f"{expect} reply without {field!r}")
+    out = np.array(reply.payload[field], dtype=np.float64)
+    if out.shape[0] != len(ids):
+        raise err.ShapeMismatch("reply length differs from request")
+    return out
 
 
 def _raise_remote(reply: Envelope):
@@ -552,15 +541,7 @@ def _fit_round_trip(endpoint, sender, task_id, round_no, ids, values,
     env = Envelope(kind="FIT_REQUEST", task=task_id, round=round_no,
                    sender=sender, receiver=endpoint.module_id,
                    payload={"ids": list(ids), "values": values})
-    reply = _roundtrip(endpoint, env, timeout)
-    if reply.kind != "FIT_RESPONSE":
-        raise err.MalformedMessage(f"expected FIT_RESPONSE, got {reply.kind}")
-    if tuple(reply.payload["ids"]) != tuple(ids):
-        raise err.ShapeMismatch("reply ids differ from request ids")
-    out = np.array(reply.payload["values"], dtype=np.float64)
-    if out.shape[0] != len(ids):
-        raise err.ShapeMismatch("reply length differs from request")
-    return out
+    return _echo_roundtrip(endpoint, env, timeout, "FIT_RESPONSE", "values")
 
 
 def _predict_round_trip(endpoint, sender, task_id, rounds, ids,
@@ -568,14 +549,5 @@ def _predict_round_trip(endpoint, sender, task_id, rounds, ids,
     env = Envelope(kind="PREDICT_REQUEST", task=task_id, round=0,
                    sender=sender, receiver=endpoint.module_id,
                    payload={"ids": list(ids), "rounds": [int(r) for r in rounds]})
-    reply = _roundtrip(endpoint, env, timeout)
-    if reply.kind != "PREDICT_RESPONSE":
-        raise err.MalformedMessage(
-            f"expected PREDICT_RESPONSE, got {reply.kind}")
-    if tuple(reply.payload["ids"]) != tuple(ids):
-        raise err.ShapeMismatch("reply ids differ from request ids")
-    return np.array(reply.payload["values"], dtype=np.float64)
-
-
-def _vec_rmse(values: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(values * values)))
+    return _echo_roundtrip(endpoint, env, timeout, "PREDICT_RESPONSE",
+                           "values")

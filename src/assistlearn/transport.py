@@ -330,6 +330,8 @@ class ModuleResponder:
         from .learners import predict
         ids = tuple(env.payload["ids"])
         rounds = env.payload["rounds"]
+        if len(set(rounds)) != len(rounds):
+            raise err.MalformedMessage("PREDICT_REQUEST repeats a round")
         try:
             rows = self.module.partition.rows_for(ids)
         except err.MissingId as exc:
@@ -498,11 +500,6 @@ class TcpEndpoint:
         if not line:
             raise err.TransportError("connection closed without a reply")
         return decode(line)
-
-
-def request(endpoint, envelope: Envelope, timeout: float = 30.0) -> Envelope:
-    """Send one envelope and wait for the single reply."""
-    return endpoint.request(envelope, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------

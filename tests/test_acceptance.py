@@ -24,7 +24,7 @@ from assistlearn.metrics import rmse
 from assistlearn.nn_protocol import NnConfig, nn_predict, run_nn_learning
 from assistlearn.protocol import (ProtocolConfig, predict_stage,
                                   run_learning_stage)
-from assistlearn.transport import (Envelope, decode, local_endpoint, request,
+from assistlearn.transport import (Envelope, decode, local_endpoint,
                                    serve_module, validate_payload)
 
 LS = LearnerSpec("least_squares")
@@ -470,11 +470,11 @@ def test_criterion_8_schema_confinement_and_fuzz(capsys):
                     survived = False
                     break
         # the server must still do real work afterwards
-        good = request(server.endpoint(),
-                       Envelope(kind="FIT_REQUEST", task="after-fuzz",
-                                round=1, sender="a", receiver="target",
-                                payload={"ids": list(part.ids),
-                                         "values": [0.0] * part.n_rows}))
+        good = server.endpoint().request(
+            Envelope(kind="FIT_REQUEST", task="after-fuzz",
+                     round=1, sender="a", receiver="target",
+                     payload={"ids": list(part.ids),
+                              "values": [0.0] * part.n_rows}))
         survived = survived and good.kind == "FIT_RESPONSE"
     seconds = time.perf_counter() - started
     ok = matrix_smuggling == 0 and survived and seconds < 60.0

@@ -6,8 +6,7 @@ import numpy as np
 
 from assistlearn.cli import main
 from assistlearn.data import load_csv, save_csv, SyntheticSpec, generate
-from assistlearn.transport import (Envelope, TcpEndpoint, request,
-                                   serve_module)
+from assistlearn.transport import Envelope, TcpEndpoint, serve_module
 from assistlearn.core import LocalModule
 from assistlearn.learners import LearnerSpec
 
@@ -131,8 +130,8 @@ def test_serve_subprocess_answers_requests(tmp_path):
                        sender="alice", receiver="worker",
                        payload={"ids": list(part.ids),
                                 "values": [0.0] * part.n_rows})
-        reply = request(TcpEndpoint("127.0.0.1", port, "worker"), env,
-                        timeout=10.0)
+        ep = TcpEndpoint("127.0.0.1", port, "worker")
+        reply = ep.request(env, timeout=10.0)
         assert reply.kind == "FIT_RESPONSE"
     finally:
         proc.terminate()

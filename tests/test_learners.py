@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,10 @@ def test_boosting_training_mse_never_increases():
     y = X[:, 0] * X[:, 1] + 0.3 * rng.standard_normal(200)
     m = fit_gradient_boosting(X, y, stages=40, max_depth=2, min_leaf=5,
                               shrinkage=0.1)
-    mses = m.stage_train_mse
-    assert len(mses) == 40
+    assert len(m.trees) == 40
+    mses = [float(np.mean((y - predict(
+        dataclasses.replace(m, trees=m.trees[:k]), X)) ** 2))
+        for k in range(1, 41)]
     assert all(a >= b - 1e-12 for a, b in zip(mses, mses[1:]))
     assert mses[-1] < np.var(y)
 
@@ -208,9 +212,13 @@ def test_boosting_residual_replays_bit_for_bit():
     rng = np.random.default_rng(10)
     X = rng.standard_normal((80, 2))
     y = rng.standard_normal(80)
-    m = fit_gradient_boosting(X, y, stages=15, max_depth=3, min_leaf=5,
-                              shrinkage=0.1)
-    assert np.array_equal(m.training_residual, y - predict(m, X))
+    long = fit_gradient_boosting(X, y, stages=15, max_depth=3, min_leaf=5,
+                                 shrinkage=0.1)
+    for k in (1, 7, 15):
+        short = fit_gradient_boosting(X, y, stages=k, max_depth=3,
+                                      min_leaf=5, shrinkage=0.1)
+        prefix = dataclasses.replace(long, trees=long.trees[:k])
+        assert np.array_equal(predict(short, X), predict(prefix, X))
 
 
 def test_boosting_validation():

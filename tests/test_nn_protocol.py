@@ -238,6 +238,8 @@ def test_alice_features_override_in_nn_predict():
     direct = nn_predict(out, alice, ep, ids)
     overridden = nn_predict(out, alice, ep, ids, alice_features=X)
     assert np.array_equal(direct, overridden)
+    with pytest.raises(err.ShapeMismatch):
+        nn_predict(out, alice, ep, ids, alice_features=X[:1])
 
 
 def test_collation_failure_without_shared_ids():

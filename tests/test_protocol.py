@@ -7,14 +7,15 @@ from assistlearn.core import (FeaturePartition, LocalModule, TaskLabels,
 from assistlearn.data import SyntheticSpec, generate, split_counts
 from assistlearn.learners import LearnerSpec, predict
 from assistlearn.metrics import rmse
-from assistlearn.protocol import (BaselineMetrics, PairwiseTask,
-                                  ProtocolConfig, ResidualMessage,
-                                  TrainedTask, argmin_round, assist_fit,
-                                  oracle_baseline, per_round_predictions,
-                                  predict_stage, run_learning_stage,
-                                  stacking_baseline, stop_check,
-                                  stopped_round)
-from assistlearn.transport import local_endpoint
+from assistlearn.protocol import (BaselineMetrics, ProtocolConfig,
+                                  ResidualMessage, TrainedTask, argmin_round,
+                                  assist_fit, oracle_baseline,
+                                  per_round_predictions, predict_stage,
+                                  run_learning_stage, stacking_baseline,
+                                  stop_check, stopped_round)
+from assistlearn.nn_protocol import _fetch_partial
+from assistlearn.protocol import _fit_round_trip, _predict_round_trip
+from assistlearn.transport import Envelope, local_endpoint
 
 LS = LearnerSpec("least_squares")
 BETA = (1.0, -2.0, 0.5, 3.0, -1.5, 2.0)
@@ -246,6 +247,9 @@ def test_predict_stage_bounds_and_missing_rows():
                       upto=len(task.records) + 1)
     with pytest.raises(err.MissingTestRows):
         predict_stage(task, alice, eps, ("nope-1",))
+    for stage in (predict_stage, per_round_predictions):
+        with pytest.raises(err.MissingTestRows):  # no endpoint for carol
+            stage(task, alice, eps[:1], task.train_ids)
 
 
 def test_alice_features_override_serves_unseen_rows():
@@ -268,36 +272,9 @@ def test_alice_features_override_serves_unseen_rows():
     with pytest.raises(err.ShapeMismatch):
         predict_stage(task, alice, eps, test_ids,
                       alice_features=X_test[:-1])
-
-
-# ---------------------------------------------------------------------------
-# pairwise mode
-# ---------------------------------------------------------------------------
-
-def test_pairwise_runs_independent_chains_and_averages():
-    _, parts, labels = _linear_setup(seed=41)
-    alice, eps, _ = _chain(parts)
-    cfg = ProtocolConfig(max_rounds=3, patience=3, seed=12, mode="pairwise")
-    task = run_learning_stage(alice, eps, labels, cfg, task_id="p")
-    assert isinstance(task, PairwiseTask)
-    assert [c.task_id for c in task.chains] == ["p#pair-bright",
-                                                "p#pair-carol"]
-    for chain in task.chains:
-        assert chain.module_ids[0] == "alice"
-        assert len(chain.module_ids) == 2
-    ids = task.chains[0].holdout_ids
-    combined = predict_stage(task, alice, eps, ids)
-    singles = [predict_stage(c, alice, eps, ids) for c in task.chains]
-    assert np.allclose(combined, np.mean(singles, axis=0), atol=1e-12)
-
-
-def test_pairwise_single_assistant_keeps_the_task_id():
-    _, parts, labels = _linear_setup(n=60)
-    alice = LocalModule("alice", parts[0], LS)
-    ep = local_endpoint(LocalModule("bright", parts[1], LS))
-    cfg = ProtocolConfig(max_rounds=2, patience=2, seed=13, mode="pairwise")
-    task = run_learning_stage(alice, [ep], labels, cfg, task_id="solo-pair")
-    assert task.chains[0].task_id == "solo-pair"
+    with pytest.raises(err.ShapeMismatch):
+        per_round_predictions(task, alice, eps, test_ids,
+                              alice_features=X_test[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +356,6 @@ def test_config_validation():
         ProtocolConfig(tol_rel=-1.0)
     with pytest.raises(ValueError):
         ProtocolConfig(holdout_fraction=1.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(mode="gossip")
 
 
 def test_seed_derivation_feeds_distinct_streams():
@@ -388,3 +363,59 @@ def test_seed_derivation_feeds_distinct_streams():
     b = derive_seed(0, "t", "alice", 2)
     c = derive_seed(0, "t", "bob", 1)
     assert len({a, b, c}) == 3
+
+
+# ---------------------------------------------------------------------------
+# reply checks
+# ---------------------------------------------------------------------------
+
+class _CannedEndpoint:
+    """Answers every request with ``kind`` and ``payload(request ids)``."""
+
+    module_id = "stub"
+
+    def __init__(self, kind, payload):
+        self.kind, self.payload = kind, payload
+
+    def request(self, env, timeout=30.0):
+        return Envelope(kind=self.kind, task=env.task, round=env.round,
+                        sender="stub", receiver=env.sender,
+                        payload=self.payload(env.payload["ids"]))
+
+
+def _fit(ep):
+    return _fit_round_trip(ep, "alice", "t", 1, ["a", "b"], [1.0, 2.0], 5.0)
+
+
+def _predict(ep):
+    return _predict_round_trip(ep, "alice", "t", [1], ["a", "b"], 5.0)
+
+
+def _partial(ep):
+    return _fetch_partial(ep, "alice", "t", 1, ["a", "b"], 5.0)
+
+
+@pytest.mark.parametrize("call, kind, payload, error", [
+    (_fit, "PREDICT_RESPONSE",
+     lambda ids: {"ids": ids, "values": [0.0, 0.0]}, err.MalformedMessage),
+    (_fit, "FIT_RESPONSE",
+     lambda ids: {"ids": ids[::-1], "values": [0.0, 0.0]}, err.ShapeMismatch),
+    (_predict, "PREDICT_RESPONSE",
+     lambda ids: {"ids": ids, "values": [0.0]}, err.ShapeMismatch),
+    (_partial, "PARTIAL_PREACT", lambda ids: {"ids": ids},
+     err.MalformedMessage),
+    (_partial, "PARTIAL_PREACT",
+     lambda ids: {"ids": ids, "matrix": [[0.0]]}, err.ShapeMismatch),
+])
+def test_reply_kind_ids_and_length_are_checked(call, kind, payload, error):
+    with pytest.raises(error):
+        call(_CannedEndpoint(kind, payload))
+
+
+def test_matching_replies_pass_their_values_through():
+    ep = _CannedEndpoint("PREDICT_RESPONSE",
+                         lambda ids: {"ids": ids, "values": [0.5, -1.0]})
+    assert _predict(ep).tolist() == [0.5, -1.0]
+    ep = _CannedEndpoint("PARTIAL_PREACT",
+                         lambda ids: {"ids": ids, "matrix": [[1.0], [2.0]]})
+    assert _partial(ep).shape == (2, 1)

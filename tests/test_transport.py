@@ -13,7 +13,7 @@ from assistlearn.core import FeaturePartition, LocalModule
 from assistlearn.learners import LearnerSpec, predict
 from assistlearn.transport import (Envelope, InProcEndpoint, ModuleResponder,
                                    TcpModuleServer, decode, encode,
-                                   local_endpoint, request, serve_module,
+                                   local_endpoint, serve_module,
                                    validate_payload)
 
 
@@ -345,11 +345,11 @@ def test_fit_rejects_round_zero_and_double_write():
     module = _module(seed=3)
     ep = local_endpoint(module)
     y = list(np.zeros(20))
-    bad = request(ep, _fit_env(module, module.partition.ids, y, round_no=0))
+    bad = ep.request(_fit_env(module, module.partition.ids, y, round_no=0))
     assert bad.kind == "ERROR" and bad.payload["error"] == "MalformedMessage"
-    ok = request(ep, _fit_env(module, module.partition.ids, y, round_no=1))
+    ok = ep.request(_fit_env(module, module.partition.ids, y, round_no=1))
     assert ok.kind == "FIT_RESPONSE"
-    dup = request(ep, _fit_env(module, module.partition.ids, y, round_no=1))
+    dup = ep.request(_fit_env(module, module.partition.ids, y, round_no=1))
     assert dup.kind == "ERROR" and dup.payload["error"] == "StorageConflict"
 
 
@@ -357,9 +357,9 @@ def test_policy_refusal():
     module = _module(seed=4)
     ep = local_endpoint(module, policy=lambda env: env.round < 2)
     y = list(np.zeros(20))
-    assert request(ep, _fit_env(module, module.partition.ids, y, 1)).kind \
+    assert ep.request(_fit_env(module, module.partition.ids, y, 1)).kind \
         == "FIT_RESPONSE"
-    refuse = request(ep, _fit_env(module, module.partition.ids, y, 2))
+    refuse = ep.request(_fit_env(module, module.partition.ids, y, 2))
     assert refuse.kind == "REFUSE"
     assert refuse.payload["reason"] == "policy"
 
@@ -370,30 +370,35 @@ def test_predict_sums_requested_rounds():
     rng = np.random.default_rng(6)
     resid = rng.standard_normal(20)
     for r in (1, 2):
-        reply = request(ep, _fit_env(module, module.partition.ids, resid, r))
+        reply = ep.request(_fit_env(module, module.partition.ids, resid, r))
         resid = np.array(reply.payload["values"])
     ids = module.partition.ids[:5]
-    out = request(ep, Envelope(kind="PREDICT_REQUEST", task="t", round=2,
-                               sender="alice", receiver="m",
-                               payload={"ids": list(ids), "rounds": [1, 2]}))
+    out = ep.request(Envelope(kind="PREDICT_REQUEST", task="t", round=2,
+                              sender="alice", receiver="m",
+                              payload={"ids": list(ids), "rounds": [1, 2]}))
     assert out.kind == "PREDICT_RESPONSE"
     X = module.partition.features[:5]
     expect = sum(predict(module.stored_model("t", r), X) for r in (1, 2))
     assert np.allclose(out.payload["values"], expect, atol=1e-12)
+    twice = ep.request(Envelope(kind="PREDICT_REQUEST", task="t", round=2,
+                                sender="alice", receiver="m",
+                                payload={"ids": list(ids), "rounds": [1, 1]}))
+    assert twice.kind == "ERROR"
+    assert twice.payload["error"] == "MalformedMessage"
 
 
 def test_predict_unknown_ids_and_rounds_become_errors():
     module = _module(seed=7)
     ep = local_endpoint(module)
-    missing = request(ep, Envelope(kind="PREDICT_REQUEST", task="t", round=1,
-                                   sender="a", receiver="m",
-                                   payload={"ids": ["zzzz"], "rounds": [1]}))
+    missing = ep.request(Envelope(kind="PREDICT_REQUEST", task="t", round=1,
+                                  sender="a", receiver="m",
+                                  payload={"ids": ["zzzz"], "rounds": [1]}))
     assert missing.kind == "ERROR"
     assert missing.payload["error"] == "MissingTestRows"
-    unknown = request(ep, Envelope(kind="PREDICT_REQUEST", task="t", round=1,
-                                   sender="a", receiver="m",
-                                   payload={"ids": [module.partition.ids[0]],
-                                            "rounds": [1]}))
+    unknown = ep.request(Envelope(kind="PREDICT_REQUEST", task="t", round=1,
+                                  sender="a", receiver="m",
+                                  payload={"ids": [module.partition.ids[0]],
+                                           "rounds": [1]}))
     assert unknown.kind == "ERROR"
     assert unknown.payload["error"] == "UnknownRound"
 
@@ -414,8 +419,8 @@ def test_tcp_round_trip_matches_in_process():
     direct = ModuleResponder(module_a).handle(
         _fit_env(module_a, module_a.partition.ids, y))
     with serve_module(module_b) as server:
-        over_wire = request(server.endpoint(),
-                            _fit_env(module_b, module_b.partition.ids, y))
+        over_wire = server.endpoint().request(
+            _fit_env(module_b, module_b.partition.ids, y))
     assert over_wire.payload == direct.payload  # identical doubles
 
 
@@ -431,7 +436,7 @@ def test_tcp_many_requests_and_threads():
                            sender="a", receiver="srv",
                            payload={"ids": list(module.partition.ids),
                                     "values": y})
-            replies[task] = request(ep, env).kind
+            replies[task] = ep.request(env).kind
 
         threads = [threading.Thread(target=light_up, args=(f"task-{i}",))
                    for i in range(6)]
@@ -456,7 +461,7 @@ def test_tcp_connection_refused_maps_to_error():
     env = Envelope(kind="REFUSE", task="t", round=0, sender="a",
                    receiver="ghost")
     with pytest.raises(err.TransportError):
-        request(ep, env, timeout=2.0)
+        ep.request(env, timeout=2.0)
 
 
 def test_tcp_survives_garbage_lines():
@@ -474,9 +479,8 @@ def test_tcp_survives_garbage_lines():
             assert line, "server must always reply"
             assert decode(line).kind == "ERROR"
         # and it still serves real work afterwards
-        good = request(server.endpoint(),
-                       _fit_env(module, module.partition.ids,
-                                list(np.zeros(20))))
+        good = server.endpoint().request(
+            _fit_env(module, module.partition.ids, list(np.zeros(20))))
         assert good.kind == "FIT_RESPONSE"
 
 
