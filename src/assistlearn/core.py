@@ -39,6 +39,14 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _as_id_tuple(ids) -> tuple[SampleId, ...]:
+    """The ids as a tuple of str; a tuple of exact strs is kept as it is."""
+    ids = tuple(ids)
+    if set(map(type, ids)) <= {str}:
+        return ids
+    return tuple(str(i) for i in ids)
+
+
 # construction problems are caller bugs, not protocol events: plain ValueError
 @dataclass(frozen=True, eq=False)
 class FeaturePartition:
@@ -49,7 +57,7 @@ class FeaturePartition:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.ids)
+        ids = _as_id_tuple(self.ids)
         object.__setattr__(self, "ids", ids)
         feats = np.array(self.features, dtype=np.float64)
         if feats.ndim != 2:
@@ -65,16 +73,17 @@ class FeaturePartition:
             )
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        if any(not i for i in ids):
+        if not all(ids):
             raise ValueError("empty sample id")
-        if len(set(ids)) != len(ids):
+        row_of = dict(zip(ids, range(len(ids))))
+        if len(row_of) != len(ids):
             raise DuplicateId("duplicate sample ids in partition")
         if not np.all(np.isfinite(feats)):
             raise ValueError("features must be finite")
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "_row_of", {s: r for r, s in enumerate(ids)})
+        object.__setattr__(self, "_row_of", row_of)
 
     @property
     def n_rows(self) -> int:
@@ -104,20 +113,21 @@ class TaskLabels:
     values: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.ids)
+        ids = _as_id_tuple(self.ids)
         vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {vals.shape}")
         if len(ids) != vals.shape[0]:
             raise ValueError(f"{len(ids)} ids but {vals.shape[0]} labels")
-        if len(set(ids)) != len(ids):
+        value_of = dict(zip(ids, vals.tolist()))
+        if len(value_of) != len(ids):
             raise DuplicateId("duplicate sample ids in labels")
         if not np.all(np.isfinite(vals)):
             raise ValueError("labels must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_value_of", dict(zip(ids, vals.tolist())))
+        object.__setattr__(self, "_value_of", value_of)
 
     def lookup(self, ids: Sequence[SampleId]) -> np.ndarray:
         table = self._value_of  # type: ignore[attr-defined]

@@ -5,7 +5,9 @@ ordinary single-table regressors with one shared contract: a fit is a
 deterministic function of (inputs, hyperparameters, seed), and prediction on
 the training matrix reproduces the fitted values bit-for-bit. That second
 property is what lets the engine's bookkeeping (summed predictions plus final
-residual equals the labels) hold at float precision.
+residual equals the labels) hold at float precision. ``fit_learner`` returns
+those fitted values beside the model, so callers never re-predict the rows
+they trained on.
 
 Kinds:
 
@@ -13,8 +15,13 @@ Kinds:
   fallback on rank deficiency; the intercept is always fit and never
   penalized.
 * ``regression_tree`` - exhaustive midpoint split search, ties broken toward
-  the lowest feature index then the lowest threshold.
-* ``gradient_boosting`` - mean start plus shrunken trees on residuals.
+  the lowest feature index then the lowest threshold. Each column is
+  stably argsorted once per fit ("pre-sorted column blocks", as in exact
+  greedy XGBoost); every node filters those orders to its rows and scores
+  all features in one pass, and the tree's fitted values come out of the
+  growth itself.
+* ``gradient_boosting`` - mean start plus shrunken trees on residuals; one
+  presort serves every stage.
 * ``dense_net`` - one tanh hidden layer trained by seeded mini-batch gradient
   descent on squared loss.
 """
@@ -26,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .core import derive_seed
 from .errors import DimensionMismatch, NonFiniteLoss
@@ -81,18 +87,15 @@ class LearnerSpec:
 
 
 def _check_params(kind: str, p: dict) -> None:
+    """Range checks shared by LearnerSpec and the fit_* functions."""
     if kind in ("least_squares", "ridge") and p["lam"] < 0:
         raise ValueError("lam must be >= 0")
-    if kind == "regression_tree":
-        if p["max_depth"] < 1:
-            raise ValueError("max_depth must be >= 1")
-        if p["min_leaf"] < 1:
-            raise ValueError("min_leaf must be >= 1")
     if kind == "gradient_boosting":
         if p["stages"] < 1:
             raise ValueError("stages must be >= 1")
         if p["shrinkage"] <= 0:
             raise ValueError("shrinkage must be > 0")
+    if kind in ("regression_tree", "gradient_boosting"):
         if p["max_depth"] < 1:
             raise ValueError("max_depth must be >= 1")
         if p["min_leaf"] < 1:
@@ -206,10 +209,10 @@ def fit_least_squares(X, y, lam: float = 0.0) -> LinearModel:
     augmented least-squares system, intercept recovered from the means.
     """
     X, y = _check_xy(X, y)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_params("ridge", {"lam": lam})
     n, p = X.shape
     if lam == 0.0:
+        import scipy.linalg  # deferred: it is most of the package's import time
         A = np.column_stack([np.ones(n), X])
         q, r, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
@@ -251,62 +254,115 @@ def fit_regression_tree(X, y, max_depth: int = 3,
     reduction still splits (two constant half-planes can need it); a pure or
     too-small node becomes a leaf holding the mean.
     """
+    return _fit_tree(X, y, max_depth, min_leaf)[0]
+
+
+def _fit_tree(X, y, max_depth, min_leaf):
     X, y = _check_xy(X, y)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
-    root = _grow_tree(X, y, np.arange(len(y)), 0, max_depth, min_leaf)
-    return TreeModel(kind="regression_tree", n=X.shape[0], p=X.shape[1],
-                     root=root, max_depth=max_depth, min_leaf=min_leaf)
+    _check_params("regression_tree",
+                  {"max_depth": max_depth, "min_leaf": min_leaf})
+    root, fitted = _grow_tree(_SortedColumns(X), y, max_depth, min_leaf)
+    model = TreeModel(kind="regression_tree", n=X.shape[0], p=X.shape[1],
+                      root=root, max_depth=max_depth, min_leaf=min_leaf)
+    return model, fitted
 
 
-def _grow_tree(X, y, idx, depth, max_depth, min_leaf) -> _Node:
-    ys = y[idx]
-    mean = float(ys.mean())
-    if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(ys == ys[0]):
-        return _Node(value=mean)
-    found = _best_split(X[idx], ys, min_leaf)
-    if found is None:
-        return _Node(value=mean)
-    feat, thresh = found
-    mask = X[idx, feat] <= thresh
-    left = _grow_tree(X, y, idx[mask], depth + 1, max_depth, min_leaf)
-    right = _grow_tree(X, y, idx[~mask], depth + 1, max_depth, min_leaf)
-    return _Node(value=mean, feature=feat, threshold=thresh,
-                 left=left, right=right)
+class _SortedColumns:
+    """The columns of X, each stably argsorted once per fit.
+
+    ``order[f]`` lists the rows by ascending ``X[:, f]``, ties by row number.
+    Filtering it to a node's rows gives exactly what a stable argsort of the
+    node's own column would, so no node sorts again; boosting shares one
+    instance across all its stages, since X does not change.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.values = np.ascontiguousarray(X.T)
+        self.order = np.ascontiguousarray(
+            np.argsort(X, axis=0, kind="stable").T)
+        # where each feature's row starts in values.ravel()
+        self.offsets = np.arange(X.shape[1])[:, None] * X.shape[0]
+
+    def sorted_values(self, order: np.ndarray) -> np.ndarray:
+        """values[f, order[f]] for every f, as one flat gather."""
+        return self.values.ravel().take(order + self.offsets)
 
 
-def _best_split(Xs, ys, min_leaf):
-    n = ys.shape[0]
-    parent = float(np.sum((ys - ys.mean()) ** 2))
-    best_gain = -np.inf
-    best = None
-    for feat in range(Xs.shape[1]):
-        col = Xs[:, feat]
-        order = np.argsort(col, kind="stable")
-        vs = col[order]
-        yo = ys[order]
-        cuts = np.nonzero(vs[1:] > vs[:-1])[0] + 1   # left block sizes
-        if cuts.size == 0:
-            continue
-        cuts = cuts[(cuts >= min_leaf) & (n - cuts >= min_leaf)]
-        if cuts.size == 0:
-            continue
-        csum = np.cumsum(yo)
-        csq = np.cumsum(yo * yo)
-        n_l = cuts.astype(np.float64)
-        n_r = n - n_l
-        s_l = csum[cuts - 1]
-        q_l = csq[cuts - 1]
-        sse = (q_l - s_l * s_l / n_l) \
-            + ((csq[-1] - q_l) - (csum[-1] - s_l) ** 2 / n_r)
-        gains = parent - sse
-        j = int(np.argmax(gains))        # first max = lowest threshold
-        if gains[j] > best_gain:         # strict > keeps lowest feature
-            best_gain = float(gains[j])
-            best = (feat, float((vs[cuts[j] - 1] + vs[cuts[j]]) / 2.0))
-    return best
+def _grow_tree(cols: _SortedColumns, y: np.ndarray, max_depth: int,
+               min_leaf: int):
+    """Grow one tree on presorted columns; returns (root, fitted values).
+
+    A node carries its rows twice: ``idx`` in ascending row order, over which
+    its mean and parent SSE are summed (``np.mean`` sums pairwise, so the
+    order fixes the bits), and ``order``, a (p, n_node) array of the same
+    rows sorted by each feature. ``fitted[i]`` is the value of the leaf that
+    row i lands in, which is what ``predict`` gives on the training rows.
+    """
+    fitted = np.empty(y.shape[0])
+    goes_left = np.empty(y.shape[0], dtype=bool)
+
+    def grow(idx, order, depth):
+        ys = y[idx]
+        mean = float(ys.mean())
+        if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(ys == ys[0]):
+            fitted[idx] = mean
+            return _Node(value=mean)
+        parent = float(np.sum((ys - mean) ** 2))
+        found = _best_split(cols.sorted_values(order), y[order], parent,
+                            min_leaf)
+        if found is None:
+            fitted[idx] = mean
+            return _Node(value=mean)
+        feat, thresh = found
+        left = cols.values[feat, idx] <= thresh
+        goes_left[idx] = left
+        sel = goes_left[order]
+        p, n_left = order.shape[0], int(np.count_nonzero(left))
+        n_right = len(idx) - n_left
+        return _Node(value=mean, feature=feat, threshold=thresh,
+                     left=grow(idx[left], order[sel].reshape(p, n_left),
+                               depth + 1),
+                     right=grow(idx[~left], order[~sel].reshape(p, n_right),
+                                depth + 1))
+
+    root = grow(np.arange(y.shape[0]), cols.order, 0)
+    return root, fitted
+
+
+def _best_split(vs, yo, parent, min_leaf):
+    """Score every cut of every feature in one pass; (feature, threshold).
+
+    Row f of ``vs`` holds the node's values of feature f in ascending order
+    and row f of ``yo`` the targets in that order. A cut after the first c
+    sorted rows is legal when both sides keep ``min_leaf`` rows and the
+    values on either side of it differ. The first maximum in row-major order
+    is the lowest feature, then the lowest threshold. None if no cut is
+    legal.
+    """
+    p, n = vs.shape
+    if p == 0:
+        return None
+    lo, hi = min_leaf, n - min_leaf          # left block sizes lo..hi
+    csum = np.cumsum(yo, axis=1)
+    csq = np.cumsum(yo * yo, axis=1)
+    n_l = np.arange(lo, hi + 1, dtype=np.float64)
+    n_r = n - n_l
+    s_l = csum[:, lo - 1:hi]
+    q_l = csq[:, lo - 1:hi]
+    sse = (q_l - s_l * s_l / n_l) \
+        + ((csq[:, -1:] - q_l) - (csum[:, -1:] - s_l) ** 2 / n_r)
+    gains = parent - sse
+    gains[vs[:, lo:hi + 1] <= vs[:, lo - 1:hi]] = -np.inf
+    # per feature, the first maximum; a feature whose maximum is NaN never
+    # wins, and none wins unless it beats -inf
+    cut = gains.argmax(axis=1)
+    best = gains[np.arange(p), cut]
+    best[np.isnan(best)] = -np.inf
+    feat = int(best.argmax())
+    if not best[feat] > -np.inf:
+        return None
+    c = lo + int(cut[feat])
+    return feat, float((vs[feat, c - 1] + vs[feat, c]) / 2.0)
 
 
 def _tree_apply(root: _Node, X: np.ndarray) -> np.ndarray:
@@ -340,22 +396,26 @@ def fit_gradient_boosting(X, y, stages: int = 100, max_depth: int = 3,
     predicts exactly what a fit with that many stages would. With shrinkage
     in (0, 2] the training MSE never increases from one stage to the next.
     """
+    return _fit_boosting(X, y, stages, max_depth, min_leaf, shrinkage)[0]
+
+
+def _fit_boosting(X, y, stages, max_depth, min_leaf, shrinkage):
     X, y = _check_xy(X, y)
-    if stages < 1:
-        raise ValueError("stages must be >= 1")
-    if shrinkage < 0:
-        raise ValueError("shrinkage must be >= 0")
+    _check_params("gradient_boosting",
+                  {"stages": stages, "max_depth": max_depth,
+                   "min_leaf": min_leaf, "shrinkage": shrinkage})
+    cols = _SortedColumns(X)
     base = float(y.mean())
     pred = np.full(y.shape[0], base, dtype=np.float64)
     trees = []
     for _ in range(stages):
-        tree = fit_regression_tree(X, y - pred, max_depth=max_depth,
-                                   min_leaf=min_leaf)
-        pred += shrinkage * _tree_apply(tree.root, X)
-        trees.append(tree.root)
-    return BoostingModel(kind="gradient_boosting", n=X.shape[0], p=X.shape[1],
-                         base_value=base, shrinkage=shrinkage,
-                         trees=tuple(trees))
+        root, fitted = _grow_tree(cols, y - pred, max_depth, min_leaf)
+        pred += shrinkage * fitted
+        trees.append(root)
+    model = BoostingModel(kind="gradient_boosting", n=X.shape[0],
+                          p=X.shape[1], base_value=base, shrinkage=shrinkage,
+                          trees=tuple(trees))
+    return model, pred
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +514,8 @@ def fit_dense_net(X, y, hidden: int = 16, epochs: int = 20,
                   seed: int = 0) -> DenseNetModel:
     """One-hidden-layer tanh net trained by seeded mini-batch SGD."""
     X, y = _check_xy(X, y)
-    if hidden < 1:
-        raise ValueError("hidden must be >= 1")
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+    _check_params("dense_net", {"hidden": hidden, "rate": rate,
+                                "batch": batch, "epochs": epochs})
     params = dense_init(X.shape[1], hidden, seed)
     params = sgd_epochs(X, None, y, params, rate, batch, epochs, seed)
     w_in, b_hidden, w_out, b_out = params
@@ -475,22 +531,28 @@ def fit_dense_net(X, y, hidden: int = 16, epochs: int = 20,
 # dispatch
 # ---------------------------------------------------------------------------
 
-def fit_learner(spec: LearnerSpec, X, y, seed: int | None = None) -> FittedModel:
-    """Fit by spec. ``seed`` overrides the spec seed for stochastic kinds."""
+def fit_learner(spec: LearnerSpec, X, y, seed: int | None = None):
+    """Fit by spec; returns ``(model, fitted)``.
+
+    ``fitted`` is the model's output on the training rows ``X`` and equals
+    ``predict(model, X)`` bit for bit. Trees and boosting read it off their
+    growth, which already places every training row in a leaf; linear and
+    dense kinds compute it with that ``predict`` call. ``seed`` overrides the
+    spec seed for stochastic kinds.
+    """
     p = spec.params
-    if spec.kind in ("least_squares", "ridge"):
-        return fit_least_squares(X, y, lam=p["lam"])
     if spec.kind == "regression_tree":
-        return fit_regression_tree(X, y, max_depth=p["max_depth"],
-                                   min_leaf=p["min_leaf"])
+        return _fit_tree(X, y, p["max_depth"], p["min_leaf"])
     if spec.kind == "gradient_boosting":
-        return fit_gradient_boosting(X, y, stages=p["stages"],
-                                     max_depth=p["max_depth"],
-                                     min_leaf=p["min_leaf"],
-                                     shrinkage=p["shrinkage"])
-    return fit_dense_net(X, y, hidden=p["hidden"], epochs=p["epochs"],
-                         rate=p["rate"], batch=p["batch"],
-                         seed=p["seed"] if seed is None else seed)
+        return _fit_boosting(X, y, p["stages"], p["max_depth"],
+                             p["min_leaf"], p["shrinkage"])
+    if spec.kind in ("least_squares", "ridge"):
+        model = fit_least_squares(X, y, lam=p["lam"])
+    else:
+        model = fit_dense_net(X, y, hidden=p["hidden"], epochs=p["epochs"],
+                              rate=p["rate"], batch=p["batch"],
+                              seed=p["seed"] if seed is None else seed)
+    return model, predict(model, X)
 
 
 def _check_xy(X, y):

@@ -148,9 +148,9 @@ def assist_fit(module: LocalModule, msg: ResidualMessage) -> ResidualMessage:
     X = module.partition.features[rows]
     seed = derive_seed(module.learner.params.get("seed", 0),
                        msg.task_id, module.module_id, msg.round)
-    model = fit_learner(module.learner, X, msg.values, seed=seed)
+    model, fitted = fit_learner(module.learner, X, msg.values, seed=seed)
     module.record_model(msg.task_id, msg.round, model)
-    residual = msg.values - predict(model, X)
+    residual = msg.values - fitted
     return ResidualMessage(task_id=msg.task_id, round=msg.round,
                            sender=module.module_id, receiver=msg.sender,
                            ids=msg.ids, values=residual)
@@ -233,9 +233,10 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
         participants = []
         seed = derive_seed(alice.learner.params.get("seed", 0),
                            task_id, alice.module_id, round_no)
-        model = fit_learner(alice.learner, X_train, residual, seed=seed)
+        model, fitted = fit_learner(alice.learner, X_train, residual,
+                                    seed=seed)
         alice.record_model(task_id, round_no, model)
-        residual = residual - predict(model, X_train)
+        residual = residual - fitted
         halfsteps.append(rms(residual))
         participants.append(alice.module_id)
         if hold_ids:
@@ -407,9 +408,8 @@ def oracle_baseline(partitions, labels: TaskLabels, learner_spec: LearnerSpec,
     X_test = _pooled(partitions, test_ids)
     y_train = labels.lookup(train_ids)
     y_test = labels.lookup(test_ids)
-    model = fit_learner(learner_spec, X_train, y_train,
-                        seed=derive_seed(seed, "oracle"))
-    pred_train = predict(model, X_train)
+    model, pred_train = fit_learner(learner_spec, X_train, y_train,
+                                    seed=derive_seed(seed, "oracle"))
     pred_test = predict(model, X_test)
     return BaselineMetrics(train_rmse=rmse(y_train, pred_train),
                            test_rmse=rmse(y_test, pred_test),
@@ -451,18 +451,19 @@ def stacking_baseline(partitions, labels: TaskLabels, base_specs,
             col = np.empty(n_train)
             for f, block in enumerate(blocks):
                 rest = np.setdiff1d(np.arange(n_train), block)
-                model = fit_learner(spec, X_tr[rest], y_train[rest],
-                                    seed=derive_seed(seed, "stack", i, b, f))
+                model, _ = fit_learner(
+                    spec, X_tr[rest], y_train[rest],
+                    seed=derive_seed(seed, "stack", i, b, f))
                 col[block] = predict(model, X_tr[block])
-            full = fit_learner(spec, X_tr, y_train,
-                               seed=derive_seed(seed, "stack", i, b, "full"))
+            full, _ = fit_learner(
+                spec, X_tr, y_train,
+                seed=derive_seed(seed, "stack", i, b, "full"))
             oof_cols.append(col)
             test_cols.append(predict(full, X_te))
     oof = np.column_stack(oof_cols)
     test_feats = np.column_stack(test_cols)
-    meta = fit_learner(meta_spec, oof, y_train,
-                       seed=derive_seed(seed, "stack", "meta"))
-    pred_train = predict(meta, oof)
+    meta, pred_train = fit_learner(meta_spec, oof, y_train,
+                                   seed=derive_seed(seed, "stack", "meta"))
     pred_test = predict(meta, test_feats)
     return BaselineMetrics(train_rmse=rmse(y_train, pred_train),
                            test_rmse=rmse(y_test, pred_test),

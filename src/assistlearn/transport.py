@@ -352,11 +352,18 @@ class ModuleResponder:
         for name in ("ids", "values", "seed", "hidden", "peer_cols"):
             if name not in p:
                 raise err.MalformedMessage(f"LABELS_TRANSFER missing {name!r}")
+        if len(p["ids"]) != len(p["values"]):
+            raise err.ShapeMismatch(
+                f"LABELS_TRANSFER has {len(p['ids'])} ids but "
+                f"{len(p['values'])} values")
+        label_of = dict(zip(p["ids"], p["values"]))
+        if len(label_of) != len(p["ids"]):
+            raise err.DuplicateId("LABELS_TRANSFER repeats a sample id")
         own_cols = self.module.partition.n_cols
         w_in, _, _, _ = dense_init(p["peer_cols"] + own_cols, p["hidden"],
                                    p["seed"])
         svc = _NnTaskService(
-            label_of=dict(zip(p["ids"], p["values"])),
+            label_of=label_of,
             seed=p["seed"],
             hidden=p["hidden"],
             snapshots={0: w_in[p["peer_cols"]:]},

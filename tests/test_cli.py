@@ -28,6 +28,23 @@ def _write_config(tmp_path, body, name="cfg.json"):
     return str(path)
 
 
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy serves only fit_least_squares; importing it up front doubled the
+    # start-up time and memory of every `assistlearn serve`
+    import os
+    from pathlib import Path
+    import assistlearn
+    src = str(Path(assistlearn.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, assistlearn.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_gen_writes_a_loadable_csv(tmp_path, capsys):
     out = tmp_path / "fr.csv"
     code = main(["gen", "--kind", "friedman1", "--n", "30",

@@ -85,6 +85,58 @@ def test_labels_lookup_and_validation():
         TaskLabels(ids=("a",), values=np.array([np.inf]))
 
 
+class _StrLike(str):
+    def __str__(self):
+        return "via-str-" + str.__str__(self)
+
+
+def _ref_ids(ids):
+    """The per-element passes the C-level ones replaced: the str ids, and
+    whether any is empty or repeated."""
+    ids = tuple(str(i) for i in ids)
+    return ids, any(not i for i in ids), len(set(ids)) != len(ids)
+
+
+@pytest.mark.parametrize("ids", [
+    ("a", "b", "c"),
+    ["a", "b", "c"],
+    (3, 1, 2),
+    (1, "1"),
+    ("a", 2.5, None),
+    (np.str_("a"), np.str_("b")),
+    (_StrLike("a"), _StrLike("b")),
+    (_StrLike("a"), "via-str-a"),
+    ("a", "", "b"),
+    ("", "", "a"),
+    ("a", "b", "a"),
+    (True, "True"),
+    (),
+])
+def test_id_validation_matches_per_element_reference(ids):
+    expect, empty, repeated = _ref_ids(ids)
+    n = len(ids)
+    vals = np.arange(float(n))
+    if repeated:
+        with pytest.raises(err.DuplicateId, match="in labels"):
+            TaskLabels(ids=ids, values=vals)
+    else:
+        lab = TaskLabels(ids=ids, values=vals)
+        assert lab.ids == expect and all(type(i) is str for i in lab.ids)
+        assert lab.lookup(expect).tolist() == vals.tolist()
+    make_part = lambda: FeaturePartition(  # noqa: E731
+        ids=ids, features=vals.reshape(n, 1), feature_names=("u",))
+    if empty:
+        with pytest.raises(ValueError, match="empty sample id"):
+            make_part()
+    elif repeated:
+        with pytest.raises(err.DuplicateId, match="in partition"):
+            make_part()
+    else:
+        part = make_part()
+        assert part.ids == expect and all(type(i) is str for i in part.ids)
+        assert part.rows_for(expect).tolist() == list(range(n))
+
+
 def test_collate_inner_join_sorted():
     p1 = _part(["3", "1", "2"], [[30.0], [10.0], [20.0]], ["u"])
     p2 = _part(["2", "4", "1"], [[2.0], [4.0], [1.0]], ["v"])

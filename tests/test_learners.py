@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from assistlearn.errors import DimensionMismatch, NonFiniteLoss
-from assistlearn.learners import (LEARNER_KINDS, LearnerSpec, dense_init,
+from assistlearn.learners import (LEARNER_KINDS, LearnerSpec, _Node,
+                                  _tree_apply, dense_init,
                                   dense_loss_and_grads, fit_dense_net,
                                   fit_gradient_boosting, fit_learner,
                                   fit_least_squares, fit_regression_tree,
@@ -180,6 +181,143 @@ def test_tree_input_validation():
         fit_regression_tree(np.ones((3, 1)), np.ones(4))
 
 
+# The per-node grower the presorted one replaced: each node argsorts its own
+# rows of every column and scores one feature at a time. The new grower must
+# build the same tree, node for node and bit for bit.
+
+def _ref_grow_tree(X, y, idx, depth, max_depth, min_leaf):
+    ys = y[idx]
+    mean = float(ys.mean())
+    if depth >= max_depth or len(idx) < 2 * min_leaf or np.all(ys == ys[0]):
+        return _Node(value=mean)
+    found = _ref_best_split(X[idx], ys, min_leaf)
+    if found is None:
+        return _Node(value=mean)
+    feat, thresh = found
+    mask = X[idx, feat] <= thresh
+    left = _ref_grow_tree(X, y, idx[mask], depth + 1, max_depth, min_leaf)
+    right = _ref_grow_tree(X, y, idx[~mask], depth + 1, max_depth, min_leaf)
+    return _Node(value=mean, feature=feat, threshold=thresh,
+                 left=left, right=right)
+
+
+def _ref_best_split(Xs, ys, min_leaf):
+    n = ys.shape[0]
+    parent = float(np.sum((ys - ys.mean()) ** 2))
+    best_gain = -np.inf
+    best = None
+    for feat in range(Xs.shape[1]):
+        col = Xs[:, feat]
+        order = np.argsort(col, kind="stable")
+        vs = col[order]
+        yo = ys[order]
+        cuts = np.nonzero(vs[1:] > vs[:-1])[0] + 1   # left block sizes
+        if cuts.size == 0:
+            continue
+        cuts = cuts[(cuts >= min_leaf) & (n - cuts >= min_leaf)]
+        if cuts.size == 0:
+            continue
+        csum = np.cumsum(yo)
+        csq = np.cumsum(yo * yo)
+        n_l = cuts.astype(np.float64)
+        n_r = n - n_l
+        s_l = csum[cuts - 1]
+        q_l = csq[cuts - 1]
+        sse = (q_l - s_l * s_l / n_l) \
+            + ((csq[-1] - q_l) - (csum[-1] - s_l) ** 2 / n_r)
+        gains = parent - sse
+        j = int(np.argmax(gains))        # first max = lowest threshold
+        if gains[j] > best_gain:         # strict > keeps lowest feature
+            best_gain = float(gains[j])
+            best = (feat, float((vs[cuts[j] - 1] + vs[cuts[j]]) / 2.0))
+    return best
+
+
+def _ref_tree(X, y, max_depth, min_leaf):
+    return _ref_grow_tree(X, y, np.arange(len(y)), 0, max_depth, min_leaf)
+
+
+def _ref_boosting(X, y, stages, max_depth, min_leaf, shrinkage):
+    pred = np.full(y.shape[0], float(y.mean()))
+    trees = []
+    for _ in range(stages):
+        root = _ref_tree(X, y - pred, max_depth, min_leaf)
+        pred += shrinkage * _tree_apply(root, X)
+        trees.append(root)
+    return trees, pred
+
+
+def _nodes(node):
+    """Pre-order (feature, threshold, value) triples, as exact bytes."""
+    out = [(node.feature, np.float64(node.threshold).tobytes(),
+            np.float64(node.value).tobytes())]
+    if not node.is_leaf:
+        out += _nodes(node.left) + _nodes(node.right)
+    return out
+
+
+def _sweep_shapes():
+    """(name, X, y): ties, constant and single columns, tiny and no-column
+    inputs, plus plain continuous data."""
+    rng = np.random.default_rng(31)
+    ties = rng.integers(0, 3, (90, 3)).astype(float)
+    const = rng.standard_normal((70, 2))
+    const[:, 0] = 4.0
+    return [
+        ("continuous", rng.standard_normal((120, 3)), rng.standard_normal(120)),
+        # continuous targets: the bits of a cumulative sum over a tie block
+        # depend on the row order within it
+        ("ties", ties, rng.standard_normal(90)),
+        ("ties-integer-targets", ties, rng.integers(0, 4, 90).astype(float)),
+        # mirror-image targets: cuts c and n - c gain the same in exact
+        # arithmetic
+        ("mirror", np.arange(16.0).reshape(-1, 1),
+         np.array([3.0, 1, 4, 1, 5, 9, 2, 6, 6, 2, 9, 5, 1, 4, 1, 3])),
+        ("coarse", np.round(rng.standard_normal((80, 2)), 1),
+         rng.standard_normal(80)),
+        ("constant-column", const, rng.standard_normal(70)),
+        ("one-column", rng.standard_normal((60, 1)), rng.standard_normal(60)),
+        ("duplicate-columns", np.repeat(rng.standard_normal((50, 1)), 2, 1),
+         rng.standard_normal(50)),
+        ("twelve-rows", rng.standard_normal((12, 2)), rng.standard_normal(12)),
+        ("one-row", np.ones((1, 2)), np.array([3.0])),
+        ("no-columns", np.empty((9, 0)), rng.standard_normal(9)),
+    ]
+
+
+_SHAPES = _sweep_shapes()
+
+
+@pytest.mark.parametrize("name, X, y", _SHAPES, ids=[s[0] for s in _SHAPES])
+def test_tree_matches_the_per_node_reference_grower(name, X, y):
+    n = len(y)
+    # min_leaf = n // 2 is the largest that can split (n >= 2 * min_leaf);
+    # one more leaves no legal cut
+    for min_leaf in sorted({1, 2, 5, max(1, n // 2), n // 2 + 1}):
+        for depth in (1, 2, 3, 4):
+            tree = fit_regression_tree(X, y, max_depth=depth,
+                                       min_leaf=min_leaf)
+            expect = _ref_tree(X, y, depth, min_leaf)
+            assert _nodes(tree.root) == _nodes(expect), (min_leaf, depth)
+            _, fitted = fit_learner(
+                LearnerSpec("regression_tree",
+                            {"max_depth": depth, "min_leaf": min_leaf}), X, y)
+            assert fitted.tobytes() == _tree_apply(expect, X).tobytes()
+
+
+@pytest.mark.parametrize("name, X, y", _SHAPES, ids=[s[0] for s in _SHAPES])
+def test_boosting_matches_the_per_node_reference_grower(name, X, y):
+    for depth, min_leaf, shrinkage in ((1, 1, 1.0), (3, 2, 0.1), (4, 5, 0.5)):
+        spec = LearnerSpec("gradient_boosting",
+                           {"stages": 6, "max_depth": depth,
+                            "min_leaf": min_leaf, "shrinkage": shrinkage})
+        model, fitted = fit_learner(spec, X, y)
+        trees, pred = _ref_boosting(X, y, 6, depth, min_leaf, shrinkage)
+        assert [_nodes(t) for t in model.trees] == [_nodes(t) for t in trees]
+        assert fitted.tobytes() == pred.tobytes()
+        assert predict(model, X).tobytes() == pred.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gradient boosting
 # ---------------------------------------------------------------------------
@@ -226,6 +364,36 @@ def test_boosting_validation():
         fit_gradient_boosting(np.ones((5, 1)), np.ones(5), stages=0)
     with pytest.raises(ValueError):
         fit_gradient_boosting(np.ones((5, 1)), np.ones(5), shrinkage=-0.1)
+
+
+# (kind, fit function, a legal boundary value, the first illegal one)
+_BOUNDARIES = [
+    ("regression_tree", fit_regression_tree, "max_depth", 1, 0),
+    ("regression_tree", fit_regression_tree, "min_leaf", 1, 0),
+    ("gradient_boosting", fit_gradient_boosting, "stages", 1, 0),
+    ("gradient_boosting", fit_gradient_boosting, "max_depth", 1, 0),
+    ("gradient_boosting", fit_gradient_boosting, "min_leaf", 1, 0),
+    ("gradient_boosting", fit_gradient_boosting, "shrinkage", 1e-9, 0.0),
+    ("dense_net", fit_dense_net, "hidden", 1, 0),
+    ("dense_net", fit_dense_net, "rate", 1e-9, 0.0),
+    ("dense_net", fit_dense_net, "batch", 1, 0),
+    ("dense_net", fit_dense_net, "epochs", 0, -1),
+    ("ridge", fit_least_squares, "lam", 0.0, -1e-9),
+]
+
+
+@pytest.mark.parametrize("kind, fit, name, ok, bad", _BOUNDARIES,
+                         ids=[f"{b[0]}-{b[2]}" for b in _BOUNDARIES])
+def test_fit_functions_and_spec_share_each_boundary(kind, fit, name, ok, bad):
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.arange(6.0)
+    fit(X, y, **{name: ok})
+    LearnerSpec(kind, {name: ok})
+    with pytest.raises(ValueError, match=name) as from_fit:
+        fit(X, y, **{name: bad})
+    with pytest.raises(ValueError) as from_spec:
+        LearnerSpec(kind, {name: bad})
+    assert str(from_fit.value) == str(from_spec.value)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +485,18 @@ def test_dense_net_divergence_raises():
 # ---------------------------------------------------------------------------
 
 def test_fit_learner_covers_every_kind():
+    # the fitted values a fit returns are predict on the training rows, to
+    # the byte
     rng = np.random.default_rng(20)
     X = rng.standard_normal((60, 3))
     y = rng.standard_normal(60)
     for kind in LEARNER_KINDS:
-        model = fit_learner(LearnerSpec(kind), X, y)
+        model, fitted = fit_learner(LearnerSpec(kind), X, y)
         out = predict(model, X)
         assert out.shape == (60,)
         assert np.all(np.isfinite(out))
+        assert fitted.dtype == out.dtype
+        assert fitted.tobytes() == out.tobytes(), kind
 
 
 def test_fit_learner_seed_override_for_dense_net():
@@ -332,7 +504,7 @@ def test_fit_learner_seed_override_for_dense_net():
     X = rng.standard_normal((50, 2))
     y = rng.standard_normal(50)
     spec = LearnerSpec("dense_net", {"hidden": 4, "epochs": 3, "seed": 0})
-    a = fit_learner(spec, X, y, seed=99)
+    a, _ = fit_learner(spec, X, y, seed=99)
     b = fit_dense_net(X, y, hidden=4, epochs=3, seed=99)
     assert np.array_equal(a.w_in, b.w_in)
     assert np.array_equal(a.w_out, b.w_out)

@@ -128,6 +128,32 @@ def test_chain_round_records_have_full_participation():
     assert task.best_round == argmin_round(task.validation_history)
 
 
+@pytest.mark.parametrize("kind", ["regression_tree", "gradient_boosting"])
+def test_learning_stage_predicts_only_held_out_rows(kind, monkeypatch):
+    # fits return their fitted values, so each round's predict calls are
+    # one holdout prediction per module: 3R for 3 modules and R rounds,
+    # where re-predicting the training rows made 6R
+    from assistlearn import learners, protocol
+    calls = []
+    real = learners.predict
+
+    def counting(model, X):
+        calls.append(len(X))
+        return real(model, X)
+
+    monkeypatch.setattr(learners, "predict", counting)
+    monkeypatch.setattr(protocol, "predict", counting)
+    _, parts, labels = _linear_setup(n=100)
+    spec = LearnerSpec(kind, {"stages": 3} if kind == "gradient_boosting"
+                       else {})
+    alice, eps, _ = _chain(parts, learner=spec)
+    rounds = 4
+    cfg = ProtocolConfig(max_rounds=rounds, patience=rounds, seed=3)
+    task = run_learning_stage(alice, eps, labels, cfg, task_id="t")
+    assert len(task.records) == rounds
+    assert calls == [len(task.holdout_ids)] * (3 * rounds)
+
+
 def test_halfstep_training_error_never_increases_for_least_squares():
     _, parts, labels = _linear_setup(seed=19)
     alice, eps, _ = _chain(parts)

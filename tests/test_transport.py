@@ -403,6 +403,29 @@ def test_predict_unknown_ids_and_rounds_become_errors():
     assert unknown.payload["error"] == "UnknownRound"
 
 
+@pytest.mark.parametrize("ids, values, error", [
+    (["0000", "0001", "0002", "0003"], [1.0, 2.0], "ShapeMismatch"),
+    (["0000"], [1.0, 2.0], "ShapeMismatch"),
+    (["0000", "0001", "0000"], [1.0, 2.0, 3.0], "DuplicateId"),
+])
+def test_labels_transfer_rejects_mismatched_or_repeated_ids(ids, values,
+                                                           error):
+    module = _module(seed=8)
+    ep = local_endpoint(module)
+    setup = {"seed": 1, "hidden": 3, "peer_cols": 2}
+    reply = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
+                                sender="alice", receiver="m",
+                                payload={"ids": ids, "values": values,
+                                         **setup}))
+    assert reply.kind == "ERROR"
+    assert reply.payload["error"] == error
+    ok = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
+                             sender="alice", receiver="m",
+                             payload={"ids": ids[:1], "values": values[:1],
+                                      **setup}))
+    assert ok.kind == "LABELS_TRANSFER"
+
+
 def test_inproc_endpoint_reports_module_id():
     module = _module(module_id="peer-9")
     assert InProcEndpoint(ModuleResponder(module)).module_id == "peer-9"
