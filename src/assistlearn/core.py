@@ -9,7 +9,6 @@ lexicographically, so row order never depends on insertion order.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -22,8 +21,6 @@ from .errors import (
     OverlappingGroups,
     UnknownColumn,
 )
-
-log = logging.getLogger("assistlearn")
 
 SampleId = str
 
@@ -139,28 +136,12 @@ class TaskLabels:
             raise MissingId(f"no label for sample id {missing!r}") from None
 
 
-@dataclass(frozen=True)
-class CollationIndex:
-    """Shared row ordering: the sorted inner join of several partitions.
+def collate(partitions: Sequence[FeaturePartition]) -> tuple[SampleId, ...]:
+    """Sample ids common to all partitions, sorted lexicographically.
 
-    ``row_maps[j][i]`` is the row position inside input partition ``j`` of the
-    ``i``-th collated id. ``source_sizes`` keeps the original row counts so
-    callers can see how many rows the join dropped.
-    """
-
-    ids: tuple[SampleId, ...]
-    row_maps: tuple[np.ndarray, ...]
-    source_sizes: tuple[int, ...]
-
-    @property
-    def retained(self) -> int:
-        return len(self.ids)
-
-
-def collate(partitions: Sequence[FeaturePartition]) -> CollationIndex:
-    """Inner-join partitions on sample id, sorted lexicographically.
-
-    Raises EmptyIntersection when no id is common to all partitions.
+    This is the shared row order: ``align(part, collate(parts))`` lines up
+    the rows of every partition. Raises EmptyIntersection when no id is
+    common to all partitions.
     """
     if not partitions:
         raise ValueError("collate needs at least one partition")
@@ -169,26 +150,17 @@ def collate(partitions: Sequence[FeaturePartition]) -> CollationIndex:
         common &= set(part.ids)
     if not common:
         raise EmptyIntersection("partitions share no sample id")
-    ids = tuple(sorted(common))
-    maps = tuple(part.rows_for(ids) for part in partitions)
-    for m in maps:
-        m.setflags(write=False)
-    dropped = [p.n_rows - len(ids) for p in partitions]
-    if any(dropped):
-        log.debug("collate retained %d rows, dropped %s", len(ids), dropped)
-    return CollationIndex(ids=ids, row_maps=maps,
-                          source_sizes=tuple(p.n_rows for p in partitions))
+    return tuple(sorted(common))
 
 
-def align(partition: FeaturePartition, index) -> np.ndarray:
-    """Feature rows of ``partition`` reordered to a collation index.
+def align(partition: FeaturePartition, ids: Sequence[SampleId]) -> np.ndarray:
+    """Feature rows of ``partition`` for ``ids``, in the order given.
 
-    ``index`` may be a CollationIndex or any sequence of sample ids. The
-    result is a fresh writable array; the partition stays immutable.
+    ``ids`` is any sequence of sample ids, such as the tuple ``collate``
+    returns. The result is a fresh writable array; the partition stays
+    immutable.
     """
-    ids = index.ids if isinstance(index, CollationIndex) else tuple(index)
-    rows = partition.rows_for(ids)
-    return partition.features[rows].copy()
+    return partition.features[partition.rows_for(ids)]
 
 
 def vertical_split(full: FeaturePartition,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CollationIndex, FeaturePartition, TaskLabels
+from .core import FeaturePartition, TaskLabels
 from .errors import DuplicateId, MissingColumn, NonNumericCell
 
 _ID_WIDTH = 8
@@ -202,13 +202,14 @@ def save_csv(path, partition: FeaturePartition,
             writer.writerow(row)
 
 
-def split(index, spec: SplitSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def split(ids: Sequence[str],
+          spec: SplitSpec) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split ids into (train, test), both sorted, disjoint, covering.
 
-    ``index`` may be a CollationIndex or a plain id sequence. The train side
-    gets floor(fraction * n) ids, drawn by a seeded permutation.
+    The train side gets floor(fraction * n) ids, drawn by a seeded
+    permutation.
     """
-    ids = index.ids if isinstance(index, CollationIndex) else tuple(index)
+    ids = tuple(ids)
     n = len(ids)
     if n < 2:
         raise ValueError("need at least two ids to split")

@@ -315,12 +315,14 @@ def _make_data(config: ExperimentConfig, rep: int):
     return part, labels, train_ids, test_ids
 
 
-def _build_modules(config: ExperimentConfig, full: FeaturePartition):
+def _build_modules(config: ExperimentConfig, full: FeaturePartition,
+                   learners: Sequence[LearnerSpec]):
+    """The group partitions, alice (first group) and her helpers."""
     parts = vertical_split(full, [list(g) for g in config.groups])
     alice = LocalModule(module_id="alice", partition=parts[0],
-                        learner=config.learners[0])
+                        learner=learners[0])
     helpers = [LocalModule(module_id=f"peer-{i}", partition=parts[i],
-                           learner=config.learners[i])
+                           learner=learners[i])
                for i in range(1, len(parts))]
     return parts, alice, helpers
 
@@ -348,9 +350,30 @@ class _Endpoints:
 # single replication
 # ---------------------------------------------------------------------------
 
+def _replication_record(config, rep, train_ids, test_ids, rounds,
+                        curve_min_round, refusals) -> dict:
+    """Apply the stopping rule to the traced curve; score the chosen round."""
+    history = [row["validation_rmse"] for row in rounds]
+    stopped = stopped_round(history, config.patience, config.tol_rel)
+    chosen = argmin_round(history[:stopped])
+    at = rounds[chosen - 1]
+    return {
+        "replication": rep,
+        "n_train": len(train_ids),
+        "n_test": len(test_ids),
+        "rounds": rounds,
+        "chosen_round": chosen,
+        "stopped_round": stopped,
+        "curve_min_round": curve_min_round,
+        "refusals": refusals,
+        "final": {"test_rmse": at["test_rmse"], "test_mad": at["test_mad"],
+                  "train_rmse": at["train_rmse"]},
+    }
+
+
 def _chain_replication(config, rep, full, labels, train_ids, test_ids):
     rep_seed = derive_seed(config.seed, "rep", rep)
-    parts, alice, helpers = _build_modules(config, full)
+    parts, alice, helpers = _build_modules(config, full, config.learners)
     train_labels = TaskLabels(ids=train_ids, values=labels.lookup(train_ids))
     y_test = labels.lookup(test_ids)
     # patience = max_rounds disables live stopping: the full curve is traced
@@ -366,9 +389,6 @@ def _chain_replication(config, rep, full, labels, train_ids, test_ids):
                                   task_id=f"{config.name}-rep{rep}")
         curves = per_round_predictions(task, alice, endpoints, test_ids,
                                        timeout=config.timeout)
-    history = task.validation_history
-    stopped = stopped_round(history, config.patience, config.tol_rel)
-    chosen = argmin_round(history[:stopped])
     rounds = []
     for rec, row in zip(task.records, curves):
         rounds.append({"round": rec.round,
@@ -377,25 +397,14 @@ def _chain_replication(config, rep, full, labels, train_ids, test_ids):
                        "test_rmse": rmse(y_test, row),
                        "test_mad": mad(y_test, row),
                        "seconds": rec.seconds})
-    final = {"test_rmse": rounds[chosen - 1]["test_rmse"],
-             "test_mad": rounds[chosen - 1]["test_mad"],
-             "train_rmse": rounds[chosen - 1]["train_rmse"]}
-    return {
-        "replication": rep,
-        "n_train": len(train_ids),
-        "n_test": len(test_ids),
-        "rounds": rounds,
-        "chosen_round": chosen,
-        "stopped_round": stopped,
-        "curve_min_round": task.best_round,
-        "refusals": [list(r) for r in task.refusals],
-        "final": final,
-    }, parts
+    return _replication_record(config, rep, train_ids, test_ids, rounds,
+                               task.best_round,
+                               [list(r) for r in task.refusals]), parts
 
 
 def _nn_replication(config, rep, full, labels, train_ids, test_ids):
     rep_seed = derive_seed(config.seed, "rep", rep)
-    parts, alice, helpers = _build_modules(config, full)
+    parts, alice, helpers = _build_modules(config, full, config.learners)
     bob = helpers[0]
     train_labels = TaskLabels(ids=train_ids, values=labels.lookup(train_ids))
     y_test = labels.lookup(test_ids)
@@ -412,33 +421,18 @@ def _nn_replication(config, rep, full, labels, train_ids, test_ids):
         bob_ep = endpoints[0]
         result = run_nn_learning(alice, bob_ep, train_labels, nn_cfg,
                                  task_id=f"{config.name}-rep{rep}")
-        history = list(result.validation_history)
         rounds = []
-        for k in range(1, len(history) + 1):
+        for k, val in enumerate(result.validation_history, start=1):
             pred = nn_predict(result, alice, bob_ep, test_ids, upto=k,
                               timeout=config.timeout)
             rounds.append({"round": k,
                            "train_rmse": None,
-                           "validation_rmse": history[k - 1],
+                           "validation_rmse": val,
                            "test_rmse": rmse(y_test, pred),
                            "test_mad": mad(y_test, pred),
                            "seconds": result.round_seconds[k - 1]})
-    stopped = stopped_round(history, config.patience, config.tol_rel)
-    chosen = argmin_round(history[:stopped])
-    final = {"test_rmse": rounds[chosen - 1]["test_rmse"],
-             "test_mad": rounds[chosen - 1]["test_mad"],
-             "train_rmse": None}
-    return {
-        "replication": rep,
-        "n_train": len(train_ids),
-        "n_test": len(test_ids),
-        "rounds": rounds,
-        "chosen_round": chosen,
-        "stopped_round": stopped,
-        "curve_min_round": result.best_round,
-        "refusals": [],
-        "final": final,
-    }, parts
+    return _replication_record(config, rep, train_ids, test_ids, rounds,
+                               result.best_round, []), parts
 
 
 def _baselines(config, rep, parts, labels, train_ids, test_ids) -> dict:
@@ -562,12 +556,7 @@ def compare_stacking(config: ExperimentConfig,
         for rep in range(config.replications):
             rep_seed = derive_seed(config.seed, "rep", rep)
             full, labels, train_ids, test_ids = _make_data(config, rep)
-            parts = vertical_split(full, [list(g) for g in config.groups])
-            alice = LocalModule(module_id="alice", partition=parts[0],
-                                learner=al_specs[0])
-            helpers = [LocalModule(module_id=f"peer-{i}",
-                                   partition=parts[i], learner=al_specs[i])
-                       for i in range(1, len(parts))]
+            parts, alice, helpers = _build_modules(config, full, al_specs)
             train_labels = TaskLabels(ids=train_ids,
                                       values=labels.lookup(train_ids))
             live_cfg = ProtocolConfig(max_rounds=config.max_rounds,

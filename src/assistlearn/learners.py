@@ -249,10 +249,12 @@ def fit_regression_tree(X, y, max_depth: int = 3,
     """CART-style regression tree, squared error, exhaustive split search.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values. The split maximizing the sum-of-squares reduction wins; exact
-    ties go to the lowest feature index, then the lowest threshold. A zero
-    reduction still splits (two constant half-planes can need it); a pure or
-    too-small node becomes a leaf holding the mean.
+    values (the lower value where the midpoint rounds up to the upper one,
+    as it can between adjacent doubles). The split maximizing the
+    sum-of-squares reduction wins; exact ties go to the lowest feature
+    index, then the lowest threshold. A zero reduction still splits (two
+    constant half-planes can need it); a pure or too-small node becomes a
+    leaf holding the mean.
     """
     return _fit_tree(X, y, max_depth, min_leaf)[0]
 
@@ -362,7 +364,11 @@ def _best_split(vs, yo, parent, min_leaf):
     if not best[feat] > -np.inf:
         return None
     c = lo + int(cut[feat])
-    return feat, float((vs[feat, c - 1] + vs[feat, c]) / 2.0)
+    a, b = float(vs[feat, c - 1]), float(vs[feat, c])
+    mid = (a + b) / 2.0
+    # between adjacent doubles the midpoint can round up to b (or overflow
+    # to inf), and x <= b would send every row left; a splits them as meant
+    return feat, mid if mid < b else a
 
 
 def _tree_apply(root: _Node, X: np.ndarray) -> np.ndarray:

@@ -12,6 +12,10 @@ Both parties derive the full input-weight init from the shared task seed and
 keep their own row block, so nothing about the init needs transmitting; they
 exchange column counts (plain scalars) once during setup.
 
+Alice reaches Bob only through an endpoint (in process or TCP), and Bob's
+input block never leaves him: Alice keeps her block and the shared remainder
+for every executed round, and asks Bob for his partial at a given round.
+
 A partner with zero columns degenerates to Alice training an ordinary dense
 net: every round is hers and the arithmetic matches fit_dense_net exactly.
 """
@@ -32,7 +36,7 @@ from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
 from .protocol import (argmin_round, stop_check, _alice_rows,
                        _echo_roundtrip, _roundtrip, _working_sets)
-from .transport import Envelope, InProcEndpoint, ModuleResponder
+from .transport import Envelope
 
 log = logging.getLogger("assistlearn")
 
@@ -53,46 +57,6 @@ class SharedWeights:
         object.__setattr__(self, "b_hidden", b)
         object.__setattr__(self, "w_out", w)
         object.__setattr__(self, "b_out", float(self.b_out))
-
-    @property
-    def hidden(self) -> int:
-        return self.b_hidden.shape[0]
-
-
-@dataclass
-class SplitNetworkState:
-    """Parameters as one party sees them after ``round`` completed rounds.
-
-    ``w_bob`` is None when Bob is remote - his block never leaves him.
-    """
-
-    w_alice: Optional[np.ndarray]
-    w_bob: Optional[np.ndarray]
-    shared: SharedWeights
-    round: int
-
-
-@dataclass(frozen=True)
-class PartialPreactivation:
-    """One party's n-by-hidden contribution to the hidden pre-activation."""
-
-    task_id: str
-    round: int
-    ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise err.ShapeMismatch("partial must be 2-D")
-        if vals.shape[0] != len(self.ids):
-            raise err.ShapeMismatch(
-                f"{len(self.ids)} ids vs {vals.shape[0]} rows")
-        if not np.all(np.isfinite(vals)):
-            raise err.NonFinitePayload("partial contains NaN or infinity")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ids", tuple(self.ids))
 
 
 @dataclass(frozen=True)
@@ -147,7 +111,14 @@ class NnConfig:
 
 @dataclass
 class NnTrainResult:
-    state: SplitNetworkState
+    """Alice's record of a split-network run.
+
+    ``alice_rounds`` maps every executed round (0 is the init) to Alice's
+    (input block, shared remainder), so any round can be evaluated later;
+    the chosen weights are ``alice_rounds[best_round]``. Bob's blocks stay
+    with Bob.
+    """
+
     validation_history: tuple[float, ...]
     best_round: int
     train_ids: tuple[str, ...]
@@ -155,40 +126,13 @@ class NnTrainResult:
     task_id: str
     alice_cols: int
     bob_cols: int
-    # alice's (input block, shared remainder) after each round, kept so any
-    # executed round can be evaluated later; bob's counterparts stay with bob
     alice_rounds: dict = dataclasses.field(default_factory=dict, repr=False)
     round_seconds: tuple[float, ...] = ()
 
 
 # ---------------------------------------------------------------------------
-# forward / updates
+# updates
 # ---------------------------------------------------------------------------
-
-def split_forward(state: SplitNetworkState, own_partial, other_partial) -> np.ndarray:
-    """Network output from two aligned partial pre-activations."""
-    own = own_partial.values if isinstance(own_partial, PartialPreactivation) \
-        else np.asarray(own_partial, dtype=np.float64)
-    if isinstance(own_partial, PartialPreactivation) \
-            and isinstance(other_partial, PartialPreactivation) \
-            and own_partial.ids != other_partial.ids:
-        raise err.ShapeMismatch("partials cover different ids")
-    if other_partial is None:
-        total = own
-    else:
-        other = other_partial.values \
-            if isinstance(other_partial, PartialPreactivation) \
-            else np.asarray(other_partial, dtype=np.float64)
-        if other.shape != own.shape:
-            raise err.ShapeMismatch(
-                f"partial shapes differ: {own.shape} vs {other.shape}")
-        total = own + other
-    if total.shape[1] != state.shared.hidden:
-        raise err.ShapeMismatch(
-            f"partial width {total.shape[1]} vs hidden {state.shared.hidden}")
-    return np.tanh(total + state.shared.b_hidden) @ state.shared.w_out \
-        + state.shared.b_out
-
 
 def _update_party(X_own, other_partial, y, w_own, shared: SharedWeights,
                   opt: NetOptConfig, round_no: int):
@@ -205,49 +149,33 @@ def _update_party(X_own, other_partial, y, w_own, shared: SharedWeights,
     return w, SharedWeights(b_hidden=b_hidden, w_out=w_out, b_out=b_out)
 
 
-def alice_update_round(state: SplitNetworkState, X_alice, bob_partial,
-                       labels, opt: NetOptConfig) -> SplitNetworkState:
-    """Alice's turn: round state.round+1, which must be odd."""
-    round_no = state.round + 1
-    if round_no % 2 == 0:
-        raise ValueError(f"round {round_no} belongs to the partner")
-    offset = bob_partial.values if isinstance(bob_partial, PartialPreactivation) \
-        else bob_partial
-    y = labels.values if isinstance(labels, TaskLabels) else np.asarray(labels)
-    w, shared = _update_party(np.asarray(X_alice, dtype=np.float64), offset,
-                              y, state.w_alice, state.shared, opt, round_no)
-    return SplitNetworkState(w_alice=w, w_bob=state.w_bob, shared=shared,
-                             round=round_no)
-
-
-def bob_update_round(w_bob, round_no: int, X_bob, alice_partial, labels,
+def bob_update_round(w_bob, round_no: int, X_bob, alice_partial, y,
                      shared: SharedWeights, opt: NetOptConfig):
-    """Bob's turn: must be an even round. Returns (new block, new shared)."""
+    """Bob's turn: must be an even round. Returns (new block, new shared).
+
+    The round number comes from the peer, so an odd one is refused here.
+    """
     if round_no % 2 == 1:
         raise ValueError(f"round {round_no} belongs to the label owner")
-    offset = alice_partial.values \
-        if isinstance(alice_partial, PartialPreactivation) else alice_partial
-    y = labels.values if isinstance(labels, TaskLabels) else np.asarray(labels)
-    return _update_party(np.asarray(X_bob, dtype=np.float64), offset, y,
-                         np.asarray(w_bob, dtype=np.float64), shared, opt,
-                         round_no)
+    return _update_party(np.asarray(X_bob, dtype=np.float64), alice_partial,
+                         np.asarray(y), np.asarray(w_bob, dtype=np.float64),
+                         shared, opt, round_no)
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 # ---------------------------------------------------------------------------
 
-def run_nn_learning(alice: LocalModule, bob, labels: TaskLabels,
+def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
                     config: NnConfig = NnConfig(),
                     task_id: Optional[str] = None) -> NnTrainResult:
-    """Train the split network over an endpoint to Bob.
+    """Train the split network over ``bob_ep``, an endpoint to Bob.
 
-    ``bob`` may be a LocalModule (wrapped in an in-process endpoint; his
-    block is then available on the returned state) or any endpoint (his
-    block stays remote and the state carries None for it).
+    The endpoint may be in process (``local_endpoint``) or TCP. The result
+    keeps Alice's weights for every executed round; Bob's block stays with
+    him, and ``nn_predict`` asks him for his partial at the chosen round.
     """
     task_id = task_id if task_id is not None else f"nn-task-{config.seed}"
-    bob_ep, bob_responder = _as_endpoint(bob)
     train_ids, hold_ids = _working_sets(alice, labels,
                                         config.holdout_fraction, config.seed)
     X_train = align(alice.partition, train_ids)
@@ -313,17 +241,8 @@ def run_nn_learning(alice: LocalModule, bob, labels: TaskLabels,
             log.info("split network %s plateaued after round %d",
                      task_id, round_no)
             break
-    best = argmin_round(history)
-    w_best, shared_best = snapshots[best]
-    w_bob = None
-    if bob_responder is not None:
-        svc = bob_responder._nn.get(task_id)
-        if svc is not None:
-            w_bob = np.array(svc.weights_at(best))
-    state = SplitNetworkState(w_alice=w_best, w_bob=w_bob,
-                              shared=shared_best, round=best)
-    return NnTrainResult(state=state, validation_history=tuple(history),
-                         best_round=best, train_ids=tuple(train_ids),
+    return NnTrainResult(validation_history=tuple(history),
+                         best_round=argmin_round(history), train_ids=tuple(train_ids),
                          holdout_ids=tuple(hold_ids), task_id=task_id,
                          alice_cols=p_alice, bob_cols=p_bob,
                          alice_rounds=snapshots,
@@ -363,10 +282,3 @@ def _fetch_partial(endpoint, sender, task_id, round_no, ids,
                    sender=sender, receiver=endpoint.module_id,
                    payload={"ids": list(ids)})
     return _echo_roundtrip(endpoint, env, timeout, "PARTIAL_PREACT", "matrix")
-
-
-def _as_endpoint(bob):
-    if isinstance(bob, LocalModule):
-        responder = ModuleResponder(bob)
-        return InProcEndpoint(responder), responder
-    return bob, None

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align, derive_seed
+from .core import LocalModule, TaskLabels, align, collate, derive_seed
 from .data import SplitSpec, split as id_split
 from .learners import LearnerSpec, fit_learner, predict
 from .metrics import mad, rms, rmse
@@ -385,10 +385,12 @@ def per_round_predictions(task: TrainedTask, alice, assistants, ids,
 # baselines
 # ---------------------------------------------------------------------------
 
-def _resolve_split(ids, labels, splitspec):
-    covered = sorted(set(ids) & set(labels.ids))
+def _resolve_split(partitions, labels, splitspec):
+    """(train, test) ids: a given pair as is, or a SplitSpec applied to the
+    ids that every partition and the labels share."""
+    ids = collate(partitions) if len(partitions) > 1 else partitions[0].ids
     if isinstance(splitspec, SplitSpec):
-        return id_split(tuple(covered), splitspec)
+        return id_split(sorted(set(ids) & set(labels.ids)), splitspec)
     train_ids, test_ids = splitspec
     return tuple(train_ids), tuple(test_ids)
 
@@ -400,10 +402,7 @@ def _pooled(partitions, ids):
 def oracle_baseline(partitions, labels: TaskLabels, learner_spec: LearnerSpec,
                     splitspec, seed: int = 0) -> BaselineMetrics:
     """Centralized ceiling: one learner on the column-concatenated pool."""
-    from .core import collate
-    index = collate(partitions) if len(partitions) > 1 else None
-    ids = index.ids if index is not None else partitions[0].ids
-    train_ids, test_ids = _resolve_split(ids, labels, splitspec)
+    train_ids, test_ids = _resolve_split(partitions, labels, splitspec)
     X_train = _pooled(partitions, train_ids)
     X_test = _pooled(partitions, test_ids)
     y_train = labels.lookup(train_ids)
@@ -422,18 +421,19 @@ def stacking_baseline(partitions, labels: TaskLabels, base_specs,
                       seed: int = 0) -> BaselineMetrics:
     """Out-of-fold stacking over the partitions.
 
-    Each partition fits its base learner(s) straight to the labels; their
+    Each partition fits its base learner straight to the labels; their
     K-fold out-of-fold predictions become meta-features for the meta learner.
-    ``base_specs`` may be one spec (shared), one per partition, or a list of
-    lists for several bases per partition.
+    ``base_specs`` is one spec (shared) or one spec per partition.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    per_part = _normalize_bases(base_specs, len(partitions))
-    from .core import collate
-    index = collate(partitions) if len(partitions) > 1 else None
-    ids = index.ids if index is not None else partitions[0].ids
-    train_ids, test_ids = _resolve_split(ids, labels, splitspec)
+    if isinstance(base_specs, LearnerSpec):
+        base_specs = [base_specs] * len(partitions)
+    base_specs = list(base_specs)
+    if len(base_specs) != len(partitions) \
+            or not all(isinstance(b, LearnerSpec) for b in base_specs):
+        raise ValueError(f"expected one base spec or {len(partitions)}")
+    train_ids, test_ids = _resolve_split(partitions, labels, splitspec)
     y_train = labels.lookup(train_ids)
     y_test = labels.lookup(test_ids)
     n_train = len(train_ids)
@@ -444,22 +444,20 @@ def stacking_baseline(partitions, labels: TaskLabels, base_specs,
     blocks = np.array_split(perm, folds)
     oof_cols = []
     test_cols = []
-    for i, part in enumerate(partitions):
+    for i, (part, spec) in enumerate(zip(partitions, base_specs)):
         X_tr = align(part, train_ids)
-        X_te = align(part, test_ids)
-        for b, spec in enumerate(per_part[i]):
-            col = np.empty(n_train)
-            for f, block in enumerate(blocks):
-                rest = np.setdiff1d(np.arange(n_train), block)
-                model, _ = fit_learner(
-                    spec, X_tr[rest], y_train[rest],
-                    seed=derive_seed(seed, "stack", i, b, f))
-                col[block] = predict(model, X_tr[block])
-            full, _ = fit_learner(
-                spec, X_tr, y_train,
-                seed=derive_seed(seed, "stack", i, b, "full"))
-            oof_cols.append(col)
-            test_cols.append(predict(full, X_te))
+        col = np.empty(n_train)
+        # every seed carries a fixed base index 0, which keeps the stacking
+        # results of earlier versions reproducible
+        for f, block in enumerate(blocks):
+            rest = np.setdiff1d(np.arange(n_train), block)
+            model, _ = fit_learner(spec, X_tr[rest], y_train[rest],
+                                   seed=derive_seed(seed, "stack", i, 0, f))
+            col[block] = predict(model, X_tr[block])
+        full, _ = fit_learner(spec, X_tr, y_train,
+                              seed=derive_seed(seed, "stack", i, 0, "full"))
+        oof_cols.append(col)
+        test_cols.append(predict(full, align(part, test_ids)))
     oof = np.column_stack(oof_cols)
     test_feats = np.column_stack(test_cols)
     meta, pred_train = fit_learner(meta_spec, oof, y_train,
@@ -469,24 +467,6 @@ def stacking_baseline(partitions, labels: TaskLabels, base_specs,
                            test_rmse=rmse(y_test, pred_test),
                            train_mad=mad(y_train, pred_train),
                            test_mad=mad(y_test, pred_test))
-
-
-def _normalize_bases(base_specs, n_parts):
-    if isinstance(base_specs, LearnerSpec):
-        return [[base_specs]] * n_parts
-    base_specs = list(base_specs)
-    if len(base_specs) != n_parts:
-        raise ValueError(f"expected {n_parts} base spec entries")
-    out = []
-    for entry in base_specs:
-        if isinstance(entry, LearnerSpec):
-            out.append([entry])
-        else:
-            specs = list(entry)
-            if not specs:
-                raise ValueError("empty base spec list")
-            out.append(specs)
-    return out
 
 
 # ---------------------------------------------------------------------------

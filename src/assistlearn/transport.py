@@ -365,7 +365,6 @@ class ModuleResponder:
         svc = _NnTaskService(
             label_of=label_of,
             seed=p["seed"],
-            hidden=p["hidden"],
             snapshots={0: w_in[p["peer_cols"]:]},
         )
         self._nn[env.task] = svc
@@ -425,7 +424,6 @@ class ModuleResponder:
 class _NnTaskService:
     label_of: dict
     seed: int
-    hidden: int
     snapshots: dict  # round (completed) -> own input-weight block
 
     def weights_at(self, round_no: int) -> np.ndarray:

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from assistlearn import errors as err
-from assistlearn.core import (CollationIndex, FeaturePartition, LocalModule,
-                              TaskLabels, align, collate, derive_seed,
-                              vertical_split)
+from assistlearn.core import (FeaturePartition, LocalModule, TaskLabels,
+                              align, collate, derive_seed, vertical_split)
 from assistlearn.learners import LearnerSpec
 
 
@@ -140,14 +139,11 @@ def test_id_validation_matches_per_element_reference(ids):
 def test_collate_inner_join_sorted():
     p1 = _part(["3", "1", "2"], [[30.0], [10.0], [20.0]], ["u"])
     p2 = _part(["2", "4", "1"], [[2.0], [4.0], [1.0]], ["v"])
-    idx = collate([p1, p2])
-    assert idx.ids == ("1", "2")
-    assert idx.retained == 2
-    assert idx.source_sizes == (3, 3)
-    # row_maps point back into each source's own row order
-    assert align(p1, idx)[:, 0].tolist() == [10.0, 20.0]
-    assert align(p2, idx)[:, 0].tolist() == [1.0, 2.0]
-    assert p1.features[idx.row_maps[0]][:, 0].tolist() == [10.0, 20.0]
+    ids = collate([p1, p2])
+    assert ids == ("1", "2") and type(ids) is tuple
+    # the shared ids line up each source's own row order
+    assert align(p1, ids)[:, 0].tolist() == [10.0, 20.0]
+    assert align(p2, ids)[:, 0].tolist() == [1.0, 2.0]
 
 
 def test_collate_empty_intersection():
@@ -159,8 +155,7 @@ def test_collate_empty_intersection():
 
 def test_collate_single_partition_and_empty_list():
     p1 = _part(["b", "a"], [[1.0], [2.0]], ["u"])
-    idx = collate([p1])
-    assert idx.ids == ("a", "b")
+    assert collate([p1]) == ("a", "b")
     with pytest.raises(ValueError):
         collate([])
 
@@ -204,11 +199,3 @@ def test_module_store_write_once():
         mod.record_model("t", 1, "other")
     with pytest.raises(err.UnknownRound):
         mod.stored_model("t", 2)
-
-
-def test_collation_index_row_maps_are_frozen():
-    p1 = _part(["a", "b"], [[1.0], [2.0]], ["u"])
-    idx = collate([p1, p1])
-    assert isinstance(idx, CollationIndex)
-    with pytest.raises(ValueError):
-        idx.row_maps[0][0] = 5

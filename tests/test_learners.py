@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,31 @@ def test_tree_min_leaf_is_respected():
     assert t.root.left.is_leaf and t.root.right.is_leaf
     small = fit_regression_tree(X, y, max_depth=3, min_leaf=4)
     assert small.root.is_leaf  # 6 < 2*4 rows: no legal split at all
+
+
+def test_cut_between_adjacent_doubles_splits_the_rows():
+    # (a + b) / 2 rounds up to b here, so a midpoint threshold would send
+    # every row left and leave a NaN leaf on the right
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a], [a], [b], [b], [b]])
+    y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+
+    def leaf_values(node):
+        if node.is_leaf:
+            return [node.value]
+        return leaf_values(node.left) + leaf_values(node.right)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, fitted = fit_learner(
+            LearnerSpec("regression_tree", {"max_depth": 2, "min_leaf": 1}),
+            X, y)
+        assert fitted.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+        assert predict(model, X).tolist() == fitted.tolist()
+        assert model.root.threshold == a
+        assert not np.isnan(leaf_values(model.root)).any()
 
 
 def test_tree_depth_limit():

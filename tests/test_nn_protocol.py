@@ -7,10 +7,8 @@ from assistlearn.core import (FeaturePartition, LocalModule, TaskLabels,
 from assistlearn.data import SyntheticSpec, generate
 from assistlearn.learners import LearnerSpec, dense_init, fit_dense_net
 from assistlearn.nn_protocol import (NetOptConfig, NnConfig, NnTrainResult,
-                                     PartialPreactivation, SharedWeights,
-                                     SplitNetworkState, alice_update_round,
-                                     bob_update_round, nn_predict,
-                                     run_nn_learning, split_forward)
+                                     SharedWeights, bob_update_round,
+                                     nn_predict, run_nn_learning)
 from assistlearn.transport import local_endpoint, serve_module
 
 DENSE = LearnerSpec("dense_net", {"hidden": 8, "rate": 0.02, "batch": 16})
@@ -39,27 +37,11 @@ def _config(**kw):
 
 def test_shared_weights_validation():
     sw = SharedWeights(b_hidden=np.zeros(4), w_out=np.ones(4), b_out=0.5)
-    assert sw.hidden == 4 and sw.b_out == 0.5
+    assert sw.b_hidden.shape == sw.w_out.shape == (4,) and sw.b_out == 0.5
     with pytest.raises(err.ShapeMismatch):
         SharedWeights(b_hidden=np.zeros(4), w_out=np.ones(3), b_out=0.0)
     with pytest.raises(err.ShapeMismatch):
         SharedWeights(b_hidden=np.zeros((2, 2)), w_out=np.ones(4), b_out=0.0)
-
-
-def test_partial_preactivation_validation():
-    ok = PartialPreactivation(task_id="t", round=1, ids=("a", "b"),
-                              values=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        ok.values[0, 0] = 1.0  # frozen
-    with pytest.raises(err.ShapeMismatch):
-        PartialPreactivation(task_id="t", round=1, ids=("a",),
-                             values=np.zeros(3))
-    with pytest.raises(err.ShapeMismatch):
-        PartialPreactivation(task_id="t", round=1, ids=("a",),
-                             values=np.zeros((2, 3)))
-    with pytest.raises(err.NonFinitePayload):
-        PartialPreactivation(task_id="t", round=1, ids=("a",),
-                             values=np.array([[np.inf]]))
 
 
 def test_opt_config_validation():
@@ -75,46 +57,12 @@ def test_opt_config_validation():
         NnConfig(holdout_fraction=1.0)
 
 
-def test_split_forward_matches_hand_computation():
-    rng = np.random.default_rng(0)
-    own = rng.standard_normal((5, 3))
-    other = rng.standard_normal((5, 3))
-    sw = SharedWeights(b_hidden=rng.standard_normal(3),
-                       w_out=rng.standard_normal(3), b_out=0.25)
-    state = SplitNetworkState(w_alice=None, w_bob=None, shared=sw, round=1)
-    got = split_forward(state, own, other)
-    want = np.tanh(own + other + sw.b_hidden) @ sw.w_out + 0.25
-    assert np.allclose(got, want, atol=1e-12)
-    solo = split_forward(state, own, None)
-    assert np.allclose(solo, np.tanh(own + sw.b_hidden) @ sw.w_out + 0.25,
-                       atol=1e-12)
-
-
-def test_split_forward_shape_and_id_checks():
-    sw = SharedWeights(b_hidden=np.zeros(3), w_out=np.ones(3), b_out=0.0)
-    state = SplitNetworkState(w_alice=None, w_bob=None, shared=sw, round=1)
-    a = PartialPreactivation(task_id="t", round=1, ids=("a", "b"),
-                             values=np.zeros((2, 3)))
-    b = PartialPreactivation(task_id="t", round=1, ids=("a", "c"),
-                             values=np.zeros((2, 3)))
-    with pytest.raises(err.ShapeMismatch):
-        split_forward(state, a, b)
-    with pytest.raises(err.ShapeMismatch):
-        split_forward(state, np.zeros((2, 3)), np.zeros((3, 3)))
-    with pytest.raises(err.ShapeMismatch):
-        split_forward(state, np.zeros((2, 4)), None)
-
-
 def test_round_parity_is_enforced():
     sw = SharedWeights(b_hidden=np.zeros(2), w_out=np.zeros(2), b_out=0.0)
     X = np.zeros((4, 2))
     y = np.zeros(4)
     opt = NetOptConfig(batch=4)
-    odd_done = SplitNetworkState(w_alice=np.zeros((2, 2)), w_bob=None,
-                                 shared=sw, round=1)
-    with pytest.raises(ValueError):
-        alice_update_round(odd_done, X, None, y, opt)  # round 2 is bob's
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # round 3 belongs to the label owner
         bob_update_round(np.zeros((2, 2)), 3, X, np.zeros((4, 2)), y, sw, opt)
 
 
@@ -132,7 +80,8 @@ def test_zero_column_partner_reproduces_the_monolithic_net():
     bob = LocalModule("bob", empty, DENSE)
     rounds = 5
     cfg = _config(max_rounds=rounds, patience=rounds, seed=11)
-    out = run_nn_learning(alice, bob, labels, cfg, task_id="solo")
+    ep = local_endpoint(bob)
+    out = run_nn_learning(alice, ep, labels, cfg, task_id="solo")
     assert out.bob_cols == 0
     mono = fit_dense_net(full.features, labels.values, hidden=cfg.hidden,
                          epochs=rounds * cfg.epochs_per_round, rate=cfg.rate,
@@ -142,8 +91,7 @@ def test_zero_column_partner_reproduces_the_monolithic_net():
     assert np.array_equal(shared.b_hidden, mono.b_hidden)
     assert np.array_equal(shared.w_out, mono.w_out)
     assert shared.b_out == mono.b_out
-    pred = nn_predict(out, alice, local_endpoint(bob), full.ids[:10],
-                      upto=rounds)
+    pred = nn_predict(out, alice, ep, full.ids[:10], upto=rounds)
     from assistlearn.learners import predict
     assert np.array_equal(pred, predict(mono, full.features[:10]))
 
@@ -155,7 +103,8 @@ def test_zero_column_partner_reproduces_the_monolithic_net():
 def test_roles_alternate_by_round_parity():
     alice, bob, labels = _two_party()
     cfg = _config(max_rounds=4)
-    out = run_nn_learning(alice, bob, labels, cfg, task_id="alt")
+    out = run_nn_learning(alice, local_endpoint(bob), labels, cfg,
+                          task_id="alt")
     assert sorted(out.alice_rounds) == [0, 1, 2, 3, 4]
     w1, s1 = out.alice_rounds[1]
     w2, s2 = out.alice_rounds[2]
@@ -168,26 +117,11 @@ def test_roles_alternate_by_round_parity():
     assert len(out.round_seconds) == len(out.validation_history) == 4
 
 
-def test_local_bob_exposes_his_block_remote_bob_does_not():
-    alice, bob, labels = _two_party(seed=21)
-    cfg = _config(max_rounds=2)
-    local_run = run_nn_learning(alice, bob, labels, cfg, task_id="w1")
-
-    alice2, bob2, _ = _two_party(seed=21)
-    remote_run = run_nn_learning(alice2, local_endpoint(bob2), labels, cfg,
-                                 task_id="w2")
-    assert local_run.state.w_bob is not None
-    assert local_run.state.w_bob.shape == (2, cfg.hidden)
-    assert remote_run.state.w_bob is None
-    # same arithmetic either way
-    assert local_run.validation_history == remote_run.validation_history
-    assert np.array_equal(local_run.state.w_alice, remote_run.state.w_alice)
-
-
 def test_both_parties_derive_the_same_initial_weights():
     alice, bob, labels = _two_party(seed=33)
     cfg = _config(max_rounds=1)
-    out = run_nn_learning(alice, bob, labels, cfg, task_id="init")
+    out = run_nn_learning(alice, local_endpoint(bob), labels, cfg,
+                          task_id="init")
     w_full, _, _, _ = dense_init(out.alice_cols + out.bob_cols, cfg.hidden,
                                  cfg.seed)
     w0, _ = out.alice_rounds[0]
@@ -197,7 +131,8 @@ def test_both_parties_derive_the_same_initial_weights():
 def test_training_actually_reduces_the_training_error():
     alice, bob, labels = _two_party(n=200, seed=9)
     cfg = _config(max_rounds=8, patience=8, seed=5)
-    out = run_nn_learning(alice, bob, labels, cfg, task_id="learn")
+    out = run_nn_learning(alice, local_endpoint(bob), labels, cfg,
+                          task_id="learn")
     hist = out.validation_history
     assert min(hist) < 0.7 * hist[0]
     assert out.best_round == int(np.argmin(hist)) + 1
@@ -207,7 +142,8 @@ def test_holdout_validation_and_live_stopping():
     alice, bob, labels = _two_party(n=240, seed=13)
     cfg = _config(max_rounds=40, patience=2, tol_rel=0.05,
                   holdout_fraction=0.25, seed=8)
-    out = run_nn_learning(alice, bob, labels, cfg, task_id="stop")
+    out = run_nn_learning(alice, local_endpoint(bob), labels, cfg,
+                          task_id="stop")
     assert out.holdout_ids and not set(out.holdout_ids) & set(out.train_ids)
     assert len(out.validation_history) < 40  # the coarse tolerance stops it
 
@@ -246,12 +182,14 @@ def test_collation_failure_without_shared_ids():
     alice, bob, _ = _two_party(n=40)
     foreign = TaskLabels(ids=("q-1", "q-2"), values=np.array([0.0, 1.0]))
     with pytest.raises(err.CollationFailure):
-        run_nn_learning(alice, bob, foreign, _config(max_rounds=1))
+        run_nn_learning(alice, local_endpoint(bob), foreign,
+                        _config(max_rounds=1))
 
 
 def test_default_task_id_uses_the_seed():
     alice, bob, labels = _two_party(n=60)
-    out = run_nn_learning(alice, bob, labels, _config(max_rounds=1, seed=77))
+    out = run_nn_learning(alice, local_endpoint(bob), labels,
+                          _config(max_rounds=1, seed=77))
     assert out.task_id == "nn-task-77"
     assert isinstance(out, NnTrainResult)
 
@@ -271,9 +209,11 @@ def test_tcp_training_is_bit_identical_to_in_process():
         tcp = run_nn_learning(alice2, server.endpoint(), labels, cfg,
                               task_id="wire")
         assert tcp.validation_history == inproc.validation_history
-        assert np.array_equal(tcp.state.w_alice, inproc.state.w_alice)
-        assert np.array_equal(tcp.state.shared.w_out,
-                              inproc.state.shared.w_out)
+        assert tcp.best_round == inproc.best_round
+        w_tcp, shared_tcp = tcp.alice_rounds[tcp.best_round]
+        w_in, shared_in = inproc.alice_rounds[inproc.best_round]
+        assert np.array_equal(w_tcp, w_in)
+        assert np.array_equal(shared_tcp.w_out, shared_in.w_out)
         ids = inproc.train_ids[:6]
         a = nn_predict(inproc, alice, local_ep, ids)
         b = nn_predict(tcp, alice2, server.endpoint(), ids)

@@ -367,10 +367,18 @@ def test_stacking_baseline_is_deterministic_and_validates():
 def test_stacking_accepts_per_partition_spec_lists():
     full, parts, labels = _linear_setup(n=160, seed=61)
     train_ids, test_ids = split_counts(full.ids, 120, seed=4)
+    split = (train_ids, test_ids)
     tree = LearnerSpec("regression_tree", {"max_depth": 2})
-    out = stacking_baseline(parts, labels, [[LS, tree], [LS], [LS]], LS,
-                            (train_ids, test_ids), folds=3, seed=6)
-    assert np.isfinite(out.test_rmse)
+    shared = stacking_baseline(parts, labels, LS, LS, split, folds=3, seed=6)
+    listed = stacking_baseline(parts, labels, [LS, LS, LS], LS, split,
+                               folds=3, seed=6)
+    assert listed == shared
+    mixed = stacking_baseline(parts, labels, [tree, LS, LS], LS, split,
+                              folds=3, seed=6)
+    assert np.isfinite(mixed.test_rmse) and mixed != shared
+    with pytest.raises(ValueError):  # several bases per partition
+        stacking_baseline(parts, labels, [[LS, tree], [LS], [LS]], LS, split,
+                          folds=3, seed=6)
 
 
 def test_config_validation():
