@@ -18,8 +18,8 @@ from .learners import FittedModel, LearnerSpec, fit_learner, predict
 from .metrics import mad, rmse
 from .nn_protocol import (NnConfig, NnTrainResult, SharedWeights,
                           bob_update_round, nn_predict, run_nn_learning)
-from .protocol import (BaselineMetrics, ProtocolConfig, ResidualMessage,
-                       RoundRecord, TrainedTask, assist_fit, argmin_round,
+from .protocol import (BaselineMetrics, ProtocolConfig, RoundRecord,
+                       TrainedTask, assist_fit, argmin_round,
                        oracle_baseline, per_round_predictions, predict_stage,
                        run_learning_stage, stacking_baseline, stop_check,
                        stopped_round)
@@ -33,7 +33,7 @@ __all__ = [
     "AssistError", "BaselineMetrics", "Envelope", "ExperimentConfig",
     "FeaturePartition", "FittedModel", "InProcEndpoint", "LearnerSpec",
     "LocalModule", "ModuleResponder", "NnConfig", "NnTrainResult",
-    "ProtocolConfig", "Report", "ResidualMessage", "RoundRecord",
+    "ProtocolConfig", "Report", "RoundRecord",
     "SharedWeights", "SplitSpec", "SyntheticSpec", "TaskLabels",
     "TcpEndpoint", "TcpModuleServer", "TrainedTask", "TransportError",
     "align", "argmin_round", "assist_fit", "bob_update_round", "collate",

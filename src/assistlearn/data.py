@@ -188,17 +188,17 @@ def save_csv(path, partition: FeaturePartition,
     Floats are written with repr, the shortest string that parses back to
     the identical double.
     """
-    label_of = dict(zip(labels.ids, labels.values.tolist())) if labels else None
+    y = labels.lookup(partition.ids).tolist() if labels else None
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         head = [id_column, *partition.feature_names]
-        if label_of is not None:
+        if y is not None:
             head.append(label_column)
         writer.writerow(head)
         for i, sid in enumerate(partition.ids):
             row = [sid] + [repr(v) for v in partition.features[i].tolist()]
-            if label_of is not None:
-                row.append(repr(label_of[sid]))
+            if y is not None:
+                row.append(repr(y[i]))
             writer.writerow(row)
 
 
@@ -213,11 +213,7 @@ def split(ids: Sequence[str],
     n = len(ids)
     if n < 2:
         raise ValueError("need at least two ids to split")
-    k = _train_count(n, spec.fraction)
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    train = tuple(sorted(ids[i] for i in perm[:k]))
-    test = tuple(sorted(ids[i] for i in perm[k:]))
-    return train, test
+    return _permuted_split(ids, _train_count(n, spec.fraction), spec.seed)
 
 
 def split_counts(ids: Sequence[str], n_train: int,
@@ -226,9 +222,16 @@ def split_counts(ids: Sequence[str], n_train: int,
     ids = tuple(ids)
     if not 0 < n_train < len(ids):
         raise ValueError("n_train must leave both sides non-empty")
+    return _permuted_split(ids, n_train, seed)
+
+
+def _permuted_split(ids: tuple[str, ...], k: int,
+                    seed: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The first ``k`` ids of a seeded permutation, and the rest; both
+    sorted."""
     perm = np.random.default_rng(seed).permutation(len(ids))
-    train = tuple(sorted(ids[i] for i in perm[:n_train]))
-    test = tuple(sorted(ids[i] for i in perm[n_train:]))
+    train = tuple(sorted(ids[i] for i in perm[:k]))
+    test = tuple(sorted(ids[i] for i in perm[k:]))
     return train, test
 
 

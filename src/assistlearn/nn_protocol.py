@@ -34,8 +34,9 @@ from . import errors as err
 from .core import LocalModule, TaskLabels, align
 from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
-from .protocol import (argmin_round, stop_check, _alice_rows,
-                       _echo_roundtrip, _roundtrip, _working_sets)
+from .protocol import (ProtocolConfig, argmin_round, stop_check,
+                       _alice_rows, _echo_roundtrip, _roundtrip,
+                       _working_sets)
 from .transport import Envelope
 
 log = logging.getLogger("assistlearn")
@@ -95,14 +96,11 @@ class NnConfig:
     def __post_init__(self):
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in [0, 1)")
-        NetOptConfig(rate=self.rate, batch=self.batch,
-                     epochs=self.epochs_per_round, seed=self.seed)
+        ProtocolConfig(max_rounds=self.max_rounds, patience=self.patience,
+                       tol_rel=self.tol_rel,
+                       holdout_fraction=self.holdout_fraction,
+                       seed=self.seed, timeout=self.timeout)
+        self.opt()
 
     def opt(self) -> NetOptConfig:
         return NetOptConfig(rate=self.rate, batch=self.batch,

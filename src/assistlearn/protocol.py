@@ -41,33 +41,6 @@ log = logging.getLogger("assistlearn")
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResidualMessage:
-    """A labelled residual vector in flight between two modules."""
-
-    task_id: str
-    round: int
-    sender: str
-    receiver: str
-    ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise err.ShapeMismatch(f"values must be 1-D, got {vals.shape}")
-        if len(self.ids) != vals.shape[0]:
-            raise err.ShapeMismatch(
-                f"{len(self.ids)} ids vs {vals.shape[0]} values")
-        if not np.all(np.isfinite(vals)):
-            raise err.NonFinitePayload("residual contains NaN or infinity")
-        if self.round < 1:
-            raise err.ShapeMismatch("round must be >= 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "ids", tuple(self.ids))
-
-
-@dataclass(frozen=True)
 class RoundRecord:
     """What one round did: who fit, residual RMSE after each half-step,
     the validation score, and the training residual at round end."""
@@ -136,24 +109,26 @@ class BaselineMetrics:
 # module-side fit
 # ---------------------------------------------------------------------------
 
-def assist_fit(module: LocalModule, msg: ResidualMessage) -> ResidualMessage:
+def assist_fit(module: LocalModule, task_id: str, round_no: int,
+               ids: Sequence[str], values: np.ndarray) -> np.ndarray:
     """Fit the module's learner to an incoming residual; return the new one.
 
-    The fitted model lands in the module's store under (task id, round) -
-    writing the same key twice raises StorageConflict. The reply residual is
-    the incoming values minus this model's predictions on the module's own
-    aligned rows.
+    ``values`` holds one residual per id (ShapeMismatch otherwise). The
+    fitted model lands in the module's store under (task id, round) -
+    writing the same key twice raises StorageConflict. The returned residual
+    is the incoming values minus this model's predictions on the module's
+    own rows for ``ids``.
     """
-    rows = module.partition.rows_for(msg.ids)
-    X = module.partition.features[rows]
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(ids),):
+        raise err.ShapeMismatch(
+            f"{len(ids)} ids vs values of shape {values.shape}")
+    X = align(module.partition, ids)
     seed = derive_seed(module.learner.params.get("seed", 0),
-                       msg.task_id, module.module_id, msg.round)
-    model, fitted = fit_learner(module.learner, X, msg.values, seed=seed)
-    module.record_model(msg.task_id, msg.round, model)
-    residual = msg.values - fitted
-    return ResidualMessage(task_id=msg.task_id, round=msg.round,
-                           sender=module.module_id, receiver=msg.sender,
-                           ids=msg.ids, values=residual)
+                       task_id, module.module_id, round_no)
+    model, fitted = fit_learner(module.learner, X, values, seed=seed)
+    module.record_model(task_id, round_no, model)
+    return values - fitted
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +384,7 @@ def oracle_baseline(partitions, labels: TaskLabels, learner_spec: LearnerSpec,
     y_test = labels.lookup(test_ids)
     model, pred_train = fit_learner(learner_spec, X_train, y_train,
                                     seed=derive_seed(seed, "oracle"))
-    pred_test = predict(model, X_test)
-    return BaselineMetrics(train_rmse=rmse(y_train, pred_train),
-                           test_rmse=rmse(y_test, pred_test),
-                           train_mad=mad(y_train, pred_train),
-                           test_mad=mad(y_test, pred_test))
+    return _scored(y_train, pred_train, y_test, predict(model, X_test))
 
 
 def stacking_baseline(partitions, labels: TaskLabels, base_specs,
@@ -462,7 +433,10 @@ def stacking_baseline(partitions, labels: TaskLabels, base_specs,
     test_feats = np.column_stack(test_cols)
     meta, pred_train = fit_learner(meta_spec, oof, y_train,
                                    seed=derive_seed(seed, "stack", "meta"))
-    pred_test = predict(meta, test_feats)
+    return _scored(y_train, pred_train, y_test, predict(meta, test_feats))
+
+
+def _scored(y_train, pred_train, y_test, pred_test) -> BaselineMetrics:
     return BaselineMetrics(train_rmse=rmse(y_train, pred_train),
                            test_rmse=rmse(y_test, pred_test),
                            train_mad=mad(y_train, pred_train),

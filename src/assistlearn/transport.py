@@ -21,6 +21,12 @@ per-element path, which makes the same decisions. ``decode`` rejects the
 non-finite literals ``NaN``, ``Infinity`` and ``-Infinity`` while parsing,
 anywhere in the line, with NonFinitePayload; an overflowing literal such as
 ``1e400`` still parses to infinity and is rejected by the envelope check.
+
+A module serves peers through ``ModuleResponder.answer``, which turns any
+failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
+``TcpModuleServer``, the standard library's threaded TCP server, calls it
+once per line. Fit requests go to ``protocol.assist_fit(module, task_id,
+round_no, ids, values)``, which returns the residual array.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import json
 import logging
 import math
 import socket
+import socketserver
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -36,7 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule
+from .core import LocalModule, TaskLabels, align
 
 log = logging.getLogger("assistlearn")
 
@@ -289,6 +296,28 @@ class ModuleResponder:
     def module_id(self) -> str:
         return self.module.module_id
 
+    def answer(self, request) -> Envelope:
+        """Reply to ``request``, an Envelope or one encoded line.
+
+        Any failure, including a line that does not decode, becomes an ERROR
+        reply naming the exception type; one that is not an AssistError is
+        also logged. A peer's request never raises out of here.
+        """
+        env = request if isinstance(request, Envelope) else None
+        try:
+            if env is None:
+                env = decode(request)
+            return self.handle(env)
+        except Exception as exc:  # noqa: BLE001 - a peer never takes us down
+            if not isinstance(exc, err.AssistError):
+                log.exception("unexpected responder failure")
+            payload = {"error": type(exc).__name__, "message": str(exc)}
+            if env is None:
+                return Envelope(kind="ERROR", task="", round=0,
+                                sender=self.module_id, receiver="",
+                                payload=payload)
+            return self._reply(env, "ERROR", payload)
+
     def handle(self, env: Envelope) -> Envelope:
         with self._lock_for(env.task):
             if env.kind == "FIT_REQUEST":
@@ -312,37 +341,39 @@ class ModuleResponder:
                         sender=self.module_id, receiver=env.sender,
                         payload=payload)
 
+    def _rows(self, ids) -> np.ndarray:
+        """The module's feature rows for ``ids``; MissingTestRows if one is
+        absent."""
+        try:
+            return align(self.module.partition, ids)
+        except err.MissingId as exc:
+            raise err.MissingTestRows(str(exc)) from None
+
     def _fit(self, env: Envelope) -> Envelope:
-        from .protocol import ResidualMessage, assist_fit
+        from .protocol import assist_fit
         if env.round < 1:
             raise err.MalformedMessage("fit round must be >= 1")
         if self.policy is not None and not self.policy(env):
             return self._reply(env, "REFUSE", {"reason": "policy"})
-        msg = ResidualMessage(task_id=env.task, round=env.round,
-                              sender=env.sender, receiver=self.module_id,
-                              ids=tuple(env.payload["ids"]),
-                              values=np.array(env.payload["values"]))
-        out = assist_fit(self.module, msg)
+        ids = env.payload["ids"]
+        residual = assist_fit(self.module, env.task, env.round, ids,
+                              env.payload["values"])
         return self._reply(env, "FIT_RESPONSE",
-                           {"ids": list(out.ids), "values": out.values})
+                           {"ids": ids, "values": residual})
 
     def _predict(self, env: Envelope) -> Envelope:
         from .learners import predict
-        ids = tuple(env.payload["ids"])
+        ids = env.payload["ids"]
         rounds = env.payload["rounds"]
         if len(set(rounds)) != len(rounds):
             raise err.MalformedMessage("PREDICT_REQUEST repeats a round")
-        try:
-            rows = self.module.partition.rows_for(ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-        X = self.module.partition.features[rows]
+        X = self._rows(ids)
         total = np.zeros(len(ids))
         for r in rounds:
             model = self.module.stored_model(env.task, r)
             total += predict(model, X)
         return self._reply(env, "PREDICT_RESPONSE",
-                           {"ids": list(ids), "values": total})
+                           {"ids": ids, "values": total})
 
     # -- split-network partner duties ------------------------------------
 
@@ -352,22 +383,21 @@ class ModuleResponder:
         for name in ("ids", "values", "seed", "hidden", "peer_cols"):
             if name not in p:
                 raise err.MalformedMessage(f"LABELS_TRANSFER missing {name!r}")
+        if p["hidden"] < 1 or p["peer_cols"] < 0 or p["seed"] < 0:
+            raise err.MalformedMessage(
+                "LABELS_TRANSFER needs hidden >= 1, peer_cols >= 0 and "
+                "seed >= 0")
         if len(p["ids"]) != len(p["values"]):
             raise err.ShapeMismatch(
                 f"LABELS_TRANSFER has {len(p['ids'])} ids but "
                 f"{len(p['values'])} values")
-        label_of = dict(zip(p["ids"], p["values"]))
-        if len(label_of) != len(p["ids"]):
-            raise err.DuplicateId("LABELS_TRANSFER repeats a sample id")
+        labels = TaskLabels(ids=p["ids"], values=p["values"])
         own_cols = self.module.partition.n_cols
         w_in, _, _, _ = dense_init(p["peer_cols"] + own_cols, p["hidden"],
                                    p["seed"])
-        svc = _NnTaskService(
-            label_of=label_of,
-            seed=p["seed"],
-            snapshots={0: w_in[p["peer_cols"]:]},
-        )
-        self._nn[env.task] = svc
+        self._nn[env.task] = _NnTaskService(
+            labels=labels, seed=p["seed"],
+            snapshots={0: w_in[p["peer_cols"]:]})
         return self._reply(env, "LABELS_TRANSFER", {"own_cols": own_cols})
 
     def _service(self, task: str) -> "_NnTaskService":
@@ -378,15 +408,10 @@ class ModuleResponder:
 
     def _partial(self, env: Envelope) -> Envelope:
         svc = self._service(env.task)
-        ids = tuple(env.payload["ids"])
-        try:
-            rows = self.module.partition.rows_for(ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-        w = svc.weights_at(env.round)
-        matrix = self.module.partition.features[rows] @ w
+        ids = env.payload["ids"]
+        matrix = self._rows(ids) @ svc.weights_at(env.round)
         return self._reply(env, "PARTIAL_PREACT",
-                           {"ids": list(ids), "matrix": matrix})
+                           {"ids": ids, "matrix": matrix})
 
     def _wtilde(self, env: Envelope) -> Envelope:
         from .nn_protocol import NetOptConfig, SharedWeights, bob_update_round
@@ -395,21 +420,16 @@ class ModuleResponder:
         for name in ("ids", "matrix", "rate", "batch", "epochs"):
             if name not in p:
                 raise err.MalformedMessage(f"WTILDE_TRANSFER missing {name!r}")
-        ids = tuple(p["ids"])
         try:
-            rows = self.module.partition.rows_for(ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-        X = self.module.partition.features[rows]
-        try:
-            y = np.array([svc.label_of[s] for s in ids])
-        except KeyError as exc:
-            raise err.MissingId(f"no label for {exc.args[0]!r}") from None
+            opt = NetOptConfig(rate=p["rate"], batch=p["batch"],
+                               epochs=p["epochs"], seed=svc.seed)
+        except ValueError as exc:
+            raise err.MalformedMessage(f"WTILDE_TRANSFER: {exc}") from None
+        X = self._rows(p["ids"])
+        y = svc.labels.lookup(p["ids"])
         shared = SharedWeights(b_hidden=np.array(p["b_hidden"]),
                                w_out=np.array(p["w_out"]),
                                b_out=float(p["b_out"]))
-        opt = NetOptConfig(rate=p["rate"], batch=p["batch"],
-                           epochs=p["epochs"], seed=svc.seed)
         w_new, shared_new = bob_update_round(
             svc.latest_weights(), env.round, X, np.array(p["matrix"]), y,
             shared, opt)
@@ -422,7 +442,7 @@ class ModuleResponder:
 
 @dataclass
 class _NnTaskService:
-    label_of: dict
+    labels: TaskLabels
     seed: int
     snapshots: dict  # round (completed) -> own input-weight block
 
@@ -440,17 +460,6 @@ class _NnTaskService:
 # endpoints
 # ---------------------------------------------------------------------------
 
-def _error_envelope(module_id: str, env: Optional[Envelope],
-                    exc: Exception) -> Envelope:
-    return Envelope(kind="ERROR",
-                    task=env.task if env else "",
-                    round=env.round if env else 0,
-                    sender=module_id,
-                    receiver=env.sender if env else "",
-                    payload={"error": type(exc).__name__,
-                             "message": str(exc)})
-
-
 class InProcEndpoint:
     """Same-process endpoint: envelopes are dispatched without a byte hop.
 
@@ -467,13 +476,7 @@ class InProcEndpoint:
         return self._responder.module_id
 
     def request(self, envelope: Envelope, timeout: float = 30.0) -> Envelope:
-        try:
-            return self._responder.handle(envelope)
-        except err.AssistError as exc:
-            return _error_envelope(self.module_id, envelope, exc)
-        except Exception as exc:  # noqa: BLE001 - mirror the TCP server
-            log.exception("responder failure")
-            return _error_envelope(self.module_id, envelope, exc)
+        return self._responder.answer(envelope)
 
 
 def local_endpoint(module: LocalModule, policy=None) -> InProcEndpoint:
@@ -511,89 +514,60 @@ class TcpEndpoint:
 # TCP server
 # ---------------------------------------------------------------------------
 
-class TcpModuleServer:
+class _LineHandler(socketserver.StreamRequestHandler):
+    """Answers each line of one connection until the peer closes it, goes
+    quiet for ``timeout`` seconds or the connection fails."""
+
+    timeout = 60.0
+
+    def handle(self) -> None:
+        try:
+            for line in self.rfile:
+                self.wfile.write(encode(self.server.responder.answer(line)))
+        except OSError:
+            pass
+
+
+class TcpModuleServer(socketserver.ThreadingTCPServer):
     """Threaded JSON-lines server wrapping a ModuleResponder.
 
-    One thread per connection; any number of lines per connection. A line
-    that cannot be decoded or served yields an ERROR reply and the server
-    keeps going - garbage never takes the process down.
+    The stdlib threaded server: ``serve_forever`` runs on a daemon thread
+    started here, and each connection gets a daemon handler thread that
+    answers any number of lines. A line that cannot be decoded or served
+    yields an ERROR reply and the server keeps going - garbage never takes
+    the process down. ``stop()``, or leaving a ``with`` block, stops
+    accepting and closes the listening socket; calling it again is harmless.
     """
+
+    allow_reuse_address = True
+    daemon_threads = True
+    request_queue_size = 16
 
     def __init__(self, responder: ModuleResponder, host: str = "127.0.0.1",
                  port: int = 0):
-        self._responder = responder
-        self._stop = threading.Event()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self.responder = responder
         try:
-            sock.bind((host, port))
+            super().__init__((host, port), _LineHandler)
         except OSError as exc:
-            sock.close()
             raise err.BindFailure(f"cannot bind {host}:{port}: {exc}") from None
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.host, self.port = sock.getsockname()[:2]
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self.host, self.port = self.server_address[:2]
+        self._thread = threading.Thread(target=self.serve_forever,
+                                        args=(0.2,), daemon=True)
         self._thread.start()
 
     @property
     def module_id(self) -> str:
-        return self._responder.module_id
+        return self.responder.module_id
 
     def endpoint(self) -> TcpEndpoint:
         return TcpEndpoint(self.host, self.port, self.module_id)
 
     def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._sock.close()
-
-    def __enter__(self):
-        return self
+        self.shutdown()
+        self.server_close()
 
     def __exit__(self, *exc_info):
         self.stop()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            worker = threading.Thread(target=self._serve_connection,
-                                      args=(conn,), daemon=True)
-            worker.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
-            conn.settimeout(60.0)
-            rfile = conn.makefile("rb")
-            while not self._stop.is_set():
-                try:
-                    line = rfile.readline()
-                except (OSError, ValueError):
-                    break
-                if not line:
-                    break
-                reply = self._serve_line(line)
-                try:
-                    conn.sendall(encode(reply))
-                except OSError:
-                    break
-
-    def _serve_line(self, line: bytes) -> Envelope:
-        env = None
-        try:
-            env = decode(line)
-            return self._responder.handle(env)
-        except err.AssistError as exc:
-            return _error_envelope(self._responder.module_id, env, exc)
-        except Exception as exc:  # noqa: BLE001 - keep the server alive
-            log.exception("unexpected responder failure")
-            return _error_envelope(self._responder.module_id, env, exc)
 
 
 def serve_module(module: LocalModule, host: str = "127.0.0.1", port: int = 0,

@@ -55,6 +55,8 @@ def test_opt_config_validation():
         NnConfig(hidden=0)
     with pytest.raises(ValueError):
         NnConfig(holdout_fraction=1.0)
+    with pytest.raises(ValueError):
+        NnConfig(tol_rel=-1.0)
 
 
 def test_round_parity_is_enforced():

@@ -8,7 +8,7 @@ from assistlearn.data import SyntheticSpec, generate, split_counts
 from assistlearn.learners import LearnerSpec, predict
 from assistlearn.metrics import rmse
 from assistlearn.protocol import (BaselineMetrics, ProtocolConfig,
-                                  ResidualMessage, TrainedTask, argmin_round,
+                                  TrainedTask, argmin_round,
                                   assist_fit, oracle_baseline,
                                   per_round_predictions, predict_stage,
                                   run_learning_stage, stacking_baseline,
@@ -69,43 +69,25 @@ def test_argmin_round_is_one_based_earliest_tie():
 
 
 # ---------------------------------------------------------------------------
-# messages and the module-side fit
+# the module-side fit
 # ---------------------------------------------------------------------------
-
-def test_residual_message_validation():
-    ResidualMessage(task_id="t", round=1, sender="a", receiver="b",
-                    ids=("i",), values=np.array([1.0]))
-    with pytest.raises(err.ShapeMismatch):
-        ResidualMessage(task_id="t", round=1, sender="a", receiver="b",
-                        ids=("i",), values=np.array([[1.0]]))
-    with pytest.raises(err.ShapeMismatch):
-        ResidualMessage(task_id="t", round=1, sender="a", receiver="b",
-                        ids=("i", "j"), values=np.array([1.0]))
-    with pytest.raises(err.NonFinitePayload):
-        ResidualMessage(task_id="t", round=1, sender="a", receiver="b",
-                        ids=("i",), values=np.array([np.nan]))
-    with pytest.raises(err.ShapeMismatch):
-        ResidualMessage(task_id="t", round=0, sender="a", receiver="b",
-                        ids=("i",), values=np.array([1.0]))
-    msg = ResidualMessage(task_id="t", round=1, sender="a", receiver="b",
-                          ids=("i",), values=np.array([1.0]))
-    with pytest.raises(ValueError):
-        msg.values[0] = 2.0
-
 
 def test_assist_fit_returns_residual_and_records_model():
     _, parts, labels = _linear_setup(n=80)
     module = LocalModule("bob", parts[1], LS)
-    msg = ResidualMessage(task_id="t", round=1, sender="alice",
-                          receiver="bob", ids=parts[1].ids,
-                          values=labels.values)
-    out = assist_fit(module, msg)
-    assert out.sender == "bob" and out.receiver == "alice"
+    ids = parts[1].ids
+    out = assist_fit(module, "t", 1, ids, labels.values)
     model = module.stored_model("t", 1)
     expect = labels.values - predict(model, parts[1].features)
-    assert np.allclose(out.values, expect, atol=1e-12)
+    assert np.allclose(out, expect, atol=1e-12)
     with pytest.raises(err.StorageConflict):
-        assist_fit(module, msg)
+        assist_fit(module, "t", 1, ids, labels.values)
+    with pytest.raises(err.ShapeMismatch):
+        assist_fit(module, "t", 2, ids[:-1], labels.values)
+    with pytest.raises(err.ShapeMismatch):
+        assist_fit(module, "t", 2, ids, labels.values[:, None])
+    with pytest.raises(err.MissingId):
+        assist_fit(module, "t", 2, ("nope",), [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -351,6 +352,9 @@ def test_fit_rejects_round_zero_and_double_write():
     assert ok.kind == "FIT_RESPONSE"
     dup = ep.request(_fit_env(module, module.partition.ids, y, round_no=1))
     assert dup.kind == "ERROR" and dup.payload["error"] == "StorageConflict"
+    short = ep.request(_fit_env(module, module.partition.ids, y[:-1],
+                                round_no=2))
+    assert short.kind == "ERROR" and short.payload["error"] == "ShapeMismatch"
 
 
 def test_policy_refusal():
@@ -403,20 +407,23 @@ def test_predict_unknown_ids_and_rounds_become_errors():
     assert unknown.payload["error"] == "UnknownRound"
 
 
-@pytest.mark.parametrize("ids, values, error", [
-    (["0000", "0001", "0002", "0003"], [1.0, 2.0], "ShapeMismatch"),
-    (["0000"], [1.0, 2.0], "ShapeMismatch"),
-    (["0000", "0001", "0000"], [1.0, 2.0, 3.0], "DuplicateId"),
+@pytest.mark.parametrize("ids, values, error, bad_setup", [
+    (["0000", "0001", "0002", "0003"], [1.0, 2.0], "ShapeMismatch", {}),
+    (["0000"], [1.0, 2.0], "ShapeMismatch", {}),
+    (["0000", "0001", "0000"], [1.0, 2.0, 3.0], "DuplicateId", {}),
+    (["0000"], [1.0], "MalformedMessage", {"hidden": 0}),
+    (["0000"], [1.0], "MalformedMessage", {"seed": -5}),
+    (["0000"], [1.0], "MalformedMessage", {"peer_cols": -1}),
 ])
 def test_labels_transfer_rejects_mismatched_or_repeated_ids(ids, values,
-                                                           error):
+                                                           error, bad_setup):
     module = _module(seed=8)
     ep = local_endpoint(module)
     setup = {"seed": 1, "hidden": 3, "peer_cols": 2}
     reply = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
                                 sender="alice", receiver="m",
                                 payload={"ids": ids, "values": values,
-                                         **setup}))
+                                         **setup, **bad_setup}))
     assert reply.kind == "ERROR"
     assert reply.payload["error"] == error
     ok = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
@@ -424,6 +431,31 @@ def test_labels_transfer_rejects_mismatched_or_repeated_ids(ids, values,
                              payload={"ids": ids[:1], "values": values[:1],
                                       **setup}))
     assert ok.kind == "LABELS_TRANSFER"
+
+
+@pytest.mark.parametrize("bad_opt", [{"rate": 0.0}, {"batch": 0},
+                                     {"epochs": 0}])
+def test_wtilde_rejects_bad_optimizer_settings(bad_opt):
+    module = _module(seed=8)
+    ep = local_endpoint(module)
+    ids = ["0000", "0001"]
+    setup = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
+                                sender="alice", receiver="m",
+                                payload={"ids": ids, "values": [1.0, 2.0],
+                                         "seed": 1, "hidden": 3,
+                                         "peer_cols": 2}))
+    assert setup.kind == "LABELS_TRANSFER"
+    payload = {"ids": ids, "matrix": np.zeros((2, 3)),
+               "b_hidden": [0.0] * 3, "w_out": [0.1] * 3, "b_out": 0.0,
+               "rate": 0.01, "batch": 2, "epochs": 1}
+    ok = ep.request(Envelope(kind="WTILDE_TRANSFER", task="t", round=2,
+                             sender="alice", receiver="m", payload=payload))
+    assert ok.kind == "WTILDE_TRANSFER"
+    reply = ep.request(Envelope(kind="WTILDE_TRANSFER", task="t", round=4,
+                                sender="alice", receiver="m",
+                                payload={**payload, **bad_opt}))
+    assert reply.kind == "ERROR"
+    assert reply.payload["error"] == "MalformedMessage"
 
 
 def test_inproc_endpoint_reports_module_id():
@@ -476,6 +508,24 @@ def test_tcp_bind_conflict_raises():
         with pytest.raises(err.BindFailure):
             TcpModuleServer(ModuleResponder(module), host=server.host,
                             port=server.port)
+
+
+def test_leaving_the_with_block_stops_the_server():
+    module = _module(seed=16)
+    before = set(threading.enumerate())
+    with serve_module(module) as server:
+        ep = server.endpoint()
+        assert ep.request(_fit_env(module, module.partition.ids,
+                                   [0.5] * 20)).kind == "FIT_RESPONSE"
+    deadline = time.monotonic() + 2.0
+    while set(threading.enumerate()) - before \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
+    server.stop()  # a second stop returns
+    with pytest.raises(err.ConnectionRefused):
+        ep.request(Envelope(kind="REFUSE", task="t", round=0, sender="a",
+                            receiver="m"), timeout=2.0)
 
 
 def test_tcp_connection_refused_maps_to_error():
