@@ -66,7 +66,7 @@ class LearnerSpec:
             if key not in merged:
                 raise ValueError(f"{self.kind}: unknown parameter {key!r}")
             merged[key] = val
-        _check_params(self.kind, merged)
+        _check_params(merged)
         object.__setattr__(self, "params", merged)
 
     @classmethod
@@ -86,29 +86,19 @@ class LearnerSpec:
         return cls(kind=kind.strip(), params=params)
 
 
-def _check_params(kind: str, p: dict) -> None:
+# smallest legal value of a parameter, and bounds that are themselves illegal
+_AT_LEAST = {"lam": 0, "stages": 1, "max_depth": 1, "min_leaf": 1,
+             "hidden": 1, "batch": 1, "epochs": 0}
+_ABOVE = {"shrinkage": 0, "rate": 0}
+
+
+def _check_params(p: dict) -> None:
     """Range checks shared by LearnerSpec and the fit_* functions."""
-    if kind in ("least_squares", "ridge") and p["lam"] < 0:
-        raise ValueError("lam must be >= 0")
-    if kind == "gradient_boosting":
-        if p["stages"] < 1:
-            raise ValueError("stages must be >= 1")
-        if p["shrinkage"] <= 0:
-            raise ValueError("shrinkage must be > 0")
-    if kind in ("regression_tree", "gradient_boosting"):
-        if p["max_depth"] < 1:
-            raise ValueError("max_depth must be >= 1")
-        if p["min_leaf"] < 1:
-            raise ValueError("min_leaf must be >= 1")
-    if kind == "dense_net":
-        if p["hidden"] < 1:
-            raise ValueError("hidden must be >= 1")
-        if p["rate"] <= 0:
-            raise ValueError("rate must be > 0")
-        if p["batch"] < 1:
-            raise ValueError("batch must be >= 1")
-        if p["epochs"] < 0:
-            raise ValueError("epochs must be >= 0")
+    for key, value in p.items():
+        if key in _AT_LEAST and value < _AT_LEAST[key]:
+            raise ValueError(f"{key} must be >= {_AT_LEAST[key]}")
+        if key in _ABOVE and value <= _ABOVE[key]:
+            raise ValueError(f"{key} must be > {_ABOVE[key]}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def fit_least_squares(X, y, lam: float = 0.0) -> LinearModel:
     augmented least-squares system, intercept recovered from the means.
     """
     X, y = _check_xy(X, y)
-    _check_params("ridge", {"lam": lam})
+    _check_params({"lam": lam})
     n, p = X.shape
     if lam == 0.0:
         import scipy.linalg  # deferred: it is most of the package's import time
@@ -261,8 +251,7 @@ def fit_regression_tree(X, y, max_depth: int = 3,
 
 def _fit_tree(X, y, max_depth, min_leaf):
     X, y = _check_xy(X, y)
-    _check_params("regression_tree",
-                  {"max_depth": max_depth, "min_leaf": min_leaf})
+    _check_params({"max_depth": max_depth, "min_leaf": min_leaf})
     root, fitted = _grow_tree(_SortedColumns(X), y, max_depth, min_leaf)
     model = TreeModel(kind="regression_tree", n=X.shape[0], p=X.shape[1],
                       root=root, max_depth=max_depth, min_leaf=min_leaf)
@@ -407,8 +396,7 @@ def fit_gradient_boosting(X, y, stages: int = 100, max_depth: int = 3,
 
 def _fit_boosting(X, y, stages, max_depth, min_leaf, shrinkage):
     X, y = _check_xy(X, y)
-    _check_params("gradient_boosting",
-                  {"stages": stages, "max_depth": max_depth,
+    _check_params({"stages": stages, "max_depth": max_depth,
                    "min_leaf": min_leaf, "shrinkage": shrinkage})
     cols = _SortedColumns(X)
     base = float(y.mean())
@@ -520,8 +508,8 @@ def fit_dense_net(X, y, hidden: int = 16, epochs: int = 20,
                   seed: int = 0) -> DenseNetModel:
     """One-hidden-layer tanh net trained by seeded mini-batch SGD."""
     X, y = _check_xy(X, y)
-    _check_params("dense_net", {"hidden": hidden, "rate": rate,
-                                "batch": batch, "epochs": epochs})
+    _check_params({"hidden": hidden, "rate": rate, "batch": batch,
+                   "epochs": epochs})
     params = dense_init(X.shape[1], hidden, seed)
     params = sgd_epochs(X, None, y, params, rate, batch, epochs, seed)
     w_in, b_hidden, w_out, b_out = params

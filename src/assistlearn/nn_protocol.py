@@ -211,7 +211,7 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
         if solo or round_no % 2 == 1:
             offset = None if solo else _fetch_partial(
                 bob_ep, alice.module_id, task_id, round_no - 1, train_ids,
-                config.timeout)
+                config.hidden, config.timeout)
             w_alice, shared = _update_party(X_train, offset, y_train,
                                             w_alice, shared, opt, round_no)
         else:
@@ -219,18 +219,17 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
             reply = _roundtrip(bob_ep, Envelope(
                 kind="WTILDE_TRANSFER", task=task_id, round=round_no,
                 sender=alice.module_id, receiver=bob_ep.module_id,
-                payload={"b_hidden": shared.b_hidden, "w_out": shared.w_out,
-                         "b_out": shared.b_out, "ids": list(train_ids),
+                payload={**vars(shared), "ids": list(train_ids),
                          "matrix": partial, "rate": opt.rate,
                          "batch": opt.batch, "epochs": opt.epochs}),
                 config.timeout, "WTILDE_TRANSFER")
-            shared = SharedWeights(b_hidden=np.array(reply.payload["b_hidden"]),
-                                   w_out=np.array(reply.payload["w_out"]),
+            shared = SharedWeights(b_hidden=reply.payload["b_hidden"],
+                                   w_out=reply.payload["w_out"],
                                    b_out=reply.payload["b_out"])
         snapshots[round_no] = (w_alice.copy(), shared)
         other = None if solo else _fetch_partial(
             bob_ep, alice.module_id, task_id, round_no, val_ids,
-            config.timeout)
+            config.hidden, config.timeout)
         pred = dense_forward(X_val, other, w_alice, shared.b_hidden,
                              shared.w_out, shared.b_out)
         history.append(rmse(y_val, pred))
@@ -269,14 +268,16 @@ def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
     other = None
     if result.bob_cols > 0:
         other = _fetch_partial(bob_ep, alice.module_id, result.task_id,
-                               round_no, tuple(ids), timeout)
+                               round_no, tuple(ids), len(shared.b_hidden),
+                               timeout)
     return dense_forward(X, other, w_alice, shared.b_hidden,
                          shared.w_out, shared.b_out)
 
 
-def _fetch_partial(endpoint, sender, task_id, round_no, ids,
+def _fetch_partial(endpoint, sender, task_id, round_no, ids, hidden,
                    timeout) -> np.ndarray:
     env = Envelope(kind="PARTIAL_PREACT", task=task_id, round=round_no,
                    sender=sender, receiver=endpoint.module_id,
                    payload={"ids": list(ids)})
-    return _echo_roundtrip(endpoint, env, timeout, "PARTIAL_PREACT", "matrix")
+    return _echo_roundtrip(endpoint, env, timeout, "PARTIAL_PREACT", "matrix",
+                           (hidden,))

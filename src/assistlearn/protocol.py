@@ -467,9 +467,9 @@ def _roundtrip(endpoint, env: Envelope, timeout: float,
 
 
 def _echo_roundtrip(endpoint, env: Envelope, timeout: float, expect: str,
-                    field: str) -> np.ndarray:
+                    field: str, cols: tuple = ()) -> np.ndarray:
     """Round trip whose reply echoes the request ids; returns the reply's
-    ``field`` as float64 with one row per id."""
+    ``field`` as float64 of shape ``(len(ids), *cols)``."""
     reply = _roundtrip(endpoint, env, timeout, expect)
     ids = env.payload["ids"]
     if reply.payload["ids"] != ids:
@@ -477,8 +477,8 @@ def _echo_roundtrip(endpoint, env: Envelope, timeout: float, expect: str,
     if field not in reply.payload:
         raise err.MalformedMessage(f"{expect} reply without {field!r}")
     out = np.array(reply.payload[field], dtype=np.float64)
-    if out.shape[0] != len(ids):
-        raise err.ShapeMismatch("reply length differs from request")
+    if out.shape != (len(ids), *cols):
+        raise err.ShapeMismatch(f"reply of shape {out.shape} for {len(ids)} ids")
     return out
 
 

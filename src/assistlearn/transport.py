@@ -1,26 +1,21 @@
 """Message envelopes and transports.
 
-Wire format: one UTF-8 JSON object per line, newline-terminated. Envelope
-fields are exactly ``v`` (version, currently 1), ``kind``, ``task``,
-``round``, ``from``, ``to``, ``payload``. NaN and infinity are banned from
-payloads; floats serialize as their shortest round-trip representation, so a
-decode(encode(x)) trip is bit-exact and the in-process transport (which skips
-the byte hop entirely) is semantically identical to TCP.
+Wire format v2: one UTF-8 JSON object per line, with exactly the fields
+``v`` (2), ``kind``, ``task``, ``round``, ``from``, ``to`` and ``payload``.
+Each float vector or matrix in a payload (``values``, ``b_hidden``,
+``w_out``, ``matrix``) is one JSON string of base64 little-endian float64
+bytes, bit-exact by construction; a matrix also sends its column count as
+``cols``. Ids, rounds and scalars stay plain JSON. Other versions are
+refused with UnsupportedVersion.
 
-Payloads are schema-checked per kind at envelope construction. The FIT and
-PREDICT kinds only admit flat lists of scalars - a matrix-shaped field cannot
-even be built, which is how feature confinement is enforced structurally.
-
-Normalising and checking a payload array is one vectorised pass: a numeric
-ndarray is checked with a single ``np.isfinite`` and converted with
-``tolist()``, and a list whose elements are all exactly ``str``, all ``int``
-or all ``float`` is checked through the set of its element types (plus one
-``math.isfinite`` sweep for floats). Anything else - bools, numpy scalars or
-subclasses inside a list, nested lists, object arrays - takes the
-per-element path, which makes the same decisions. ``decode`` rejects the
-non-finite literals ``NaN``, ``Infinity`` and ``-Infinity`` while parsing,
-anywhere in the line, with NonFinitePayload; an overflowing literal such as
-``1e400`` still parses to infinity and is rejected by the envelope check.
+An Envelope holds each float field as its own read-only float64 copy of the
+caller's array (NaN and infinity refused), which is what ``decode`` rebuilds
+from the frames, so the in-process transport is identical to TCP. Payloads
+are schema-checked per kind: FIT and PREDICT kinds admit only flat vectors
+and only PARTIAL_PREACT and WTILDE_TRANSFER a matrix, which enforces feature
+confinement structurally. ``decode`` also needs a ``values`` frame to hold
+one float per id and a matrix one row per id (ShapeMismatch); a frame that
+is not base64 of whole float64s is MalformedMessage.
 
 A module serves peers through ``ModuleResponder.answer``, which turns any
 failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
@@ -31,6 +26,7 @@ round_no, ids, values)``, which returns the residual array.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -47,35 +43,18 @@ from .core import LocalModule, TaskLabels, align
 
 log = logging.getLogger("assistlearn")
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
-KINDS = frozenset({
-    "FIT_REQUEST", "FIT_RESPONSE",
-    "PREDICT_REQUEST", "PREDICT_RESPONSE",
-    "PARTIAL_PREACT", "WTILDE_TRANSFER", "LABELS_TRANSFER",
-    "REFUSE", "ERROR",
-})
+# payload fields that travel as float64 frames
+_FRAMES = frozenset({"values", "b_hidden", "w_out", "matrix"})
 
 
 def _plain(value):
     """Convert numpy containers to JSON-able python; ban non-finite floats."""
     if isinstance(value, np.ndarray):
-        if value.dtype.kind in "iu":
-            return value.tolist()
-        # longdouble is left to the per-element path, which rejects it
-        if value.dtype.kind == "f" and value.dtype.itemsize <= 8:
-            if not np.isfinite(value).all():
-                raise err.NonFinitePayload("payload contains NaN or infinity")
-            return value.tolist()
         value = value.tolist()
-    if type(value) is list:
-        # a mixed int/float list takes the per-element path: math.isfinite
-        # overflows on an int beyond the float range, which is a valid value
-        types = set(map(type, value))
-        if types <= {int} or types == {float} or types == {str}:
-            if float in types and not all(map(math.isfinite, value)):
-                raise err.NonFinitePayload("payload contains NaN or infinity")
-            return list(value)
+    if type(value) is list and _all_str(value):  # id lists
+        return list(value)
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float):
@@ -91,6 +70,21 @@ def _plain(value):
     raise err.MalformedMessage(f"unsupported payload value {type(value).__name__}")
 
 
+def _frame(value) -> np.ndarray:
+    """A read-only float64 copy of a numeric array; NaN and Inf refused."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise err.MalformedMessage("float field is not an array") from None
+    if arr.dtype.kind not in "iuf" or arr.dtype.itemsize > 8:
+        raise err.MalformedMessage(f"float field has dtype {arr.dtype}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise err.NonFinitePayload("payload contains NaN or infinity")
+    arr.flags.writeable = False
+    return arr
+
+
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -103,77 +97,66 @@ def _is_str(v):
     return isinstance(v, str)
 
 
-# The list checks first test the set of exact element types, which settles
-# the id and number vectors that _plain and json.loads build; a list holding
-# subclasses (bool, IntEnum, numpy scalars, str subclasses) or nested lists
-# falls back to the per-element test.
+def _is_array(ndim):
+    return lambda v: isinstance(v, np.ndarray) and v.ndim == ndim
+
+
+def _all_str(v):
+    """Whether every element of list ``v`` is a str, in one C-level pass."""
+    try:
+        "".join(v)
+    except TypeError:
+        return False
+    return True
+
 
 def _is_id_list(v):
-    if not isinstance(v, list):
-        return False
-    if set(map(type, v)) <= {str}:
-        return all(v)
-    return all(isinstance(s, str) and s for s in v)
-
-
-def _is_num_list(v):
-    if not isinstance(v, list):
-        return False
-    return set(map(type, v)) <= {int, float} or all(_is_num(x) for x in v)
+    return isinstance(v, list) and _all_str(v) and all(v)
 
 
 def _is_int_list(v):
-    if not isinstance(v, list):
-        return False
-    return set(map(type, v)) <= {int} or all(_is_int(x) for x in v)
+    return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-def _is_matrix(v):
-    if not isinstance(v, list) or not v:
-        return isinstance(v, list)
-    if not all(isinstance(row, list) for row in v):
-        return False
-    width = len(v[0])
-    return all(len(row) == width and _is_num_list(row) for row in v)
-
+_VECTOR, _MATRIX = _is_array(1), _is_array(2)
 
 # kind -> (required fields, optional fields)
 _SCHEMAS: dict[str, tuple[dict, dict]] = {
-    "FIT_REQUEST": ({"ids": _is_id_list, "values": _is_num_list}, {}),
-    "FIT_RESPONSE": ({"ids": _is_id_list, "values": _is_num_list}, {}),
+    "FIT_REQUEST": ({"ids": _is_id_list, "values": _VECTOR}, {}),
+    "FIT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, {}),
     "PREDICT_REQUEST": ({"ids": _is_id_list, "rounds": _is_int_list}, {}),
-    "PREDICT_RESPONSE": ({"ids": _is_id_list, "values": _is_num_list}, {}),
-    "PARTIAL_PREACT": ({"ids": _is_id_list}, {"matrix": _is_matrix}),
+    "PREDICT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, {}),
+    "PARTIAL_PREACT": ({"ids": _is_id_list}, {"matrix": _MATRIX}),
     "WTILDE_TRANSFER": (
-        {"b_hidden": _is_num_list, "w_out": _is_num_list, "b_out": _is_num},
-        {"ids": _is_id_list, "matrix": _is_matrix,
+        {"b_hidden": _VECTOR, "w_out": _VECTOR, "b_out": _is_num},
+        {"ids": _is_id_list, "matrix": _MATRIX,
          "rate": _is_num, "batch": _is_int, "epochs": _is_int},
     ),
     "LABELS_TRANSFER": (
         {},
-        {"ids": _is_id_list, "values": _is_num_list, "seed": _is_int,
+        {"ids": _is_id_list, "values": _VECTOR, "seed": _is_int,
          "hidden": _is_int, "peer_cols": _is_int, "own_cols": _is_int},
     ),
     "REFUSE": ({}, {"reason": _is_str}),
     "ERROR": ({"error": _is_str}, {"message": _is_str}),
 }
+KINDS = frozenset(_SCHEMAS)
 
 
 def validate_payload(kind: str, payload: dict) -> None:
-    """Schema-check a plain payload dict for the given kind."""
-    if kind not in _SCHEMAS:
+    """Schema-check a payload as an Envelope holds it (float fields as
+    float64 arrays) for the given kind."""
+    if kind not in KINDS:
         raise err.MalformedMessage(f"unknown kind {kind!r}")
     required, optional = _SCHEMAS[kind]
-    for name in payload:
-        if name not in required and name not in optional:
-            raise err.MalformedMessage(f"{kind}: unexpected field {name!r}")
-    for name, check in required.items():
+    for name in required:
         if name not in payload:
             raise err.MalformedMessage(f"{kind}: missing field {name!r}")
-        if not check(payload[name]):
-            raise err.MalformedMessage(f"{kind}: bad field {name!r}")
-    for name, check in optional.items():
-        if name in payload and not check(payload[name]):
+    for name, value in payload.items():
+        check = required.get(name) or optional.get(name)
+        if check is None:
+            raise err.MalformedMessage(f"{kind}: unexpected field {name!r}")
+        if not check(value):
             raise err.MalformedMessage(f"{kind}: bad field {name!r}")
 
 
@@ -200,41 +183,65 @@ class Envelope:
         for name in ("task", "sender", "receiver"):
             if not isinstance(getattr(self, name), str):
                 raise err.MalformedMessage(f"{name} must be a string")
-        payload = _plain(self.payload)
-        if not isinstance(payload, dict):
+        if not isinstance(self.payload, dict):
             raise err.MalformedMessage("payload must be an object")
+        payload = {str(k): _frame(v) if k in _FRAMES else _plain(v)
+                   for k, v in self.payload.items()}
         validate_payload(self.kind, payload)
         object.__setattr__(self, "payload", payload)
 
 
 def encode(envelope: Envelope) -> bytes:
     """Serialize to one newline-terminated UTF-8 JSON line."""
-    body = {
-        "v": envelope.v,
-        "kind": envelope.kind,
-        "task": envelope.task,
-        "round": envelope.round,
-        "from": envelope.sender,
-        "to": envelope.receiver,
-        "payload": envelope.payload,
-    }
-    try:
-        text = json.dumps(body, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise err.NonFinitePayload(str(exc)) from None
+    payload = {}
+    for name, value in envelope.payload.items():
+        if isinstance(value, np.ndarray):
+            if value.ndim == 2:
+                payload["cols"] = value.shape[1]
+            value = base64.b64encode(
+                value.astype("<f8", copy=False).tobytes()).decode("ascii")
+        payload[name] = value
+    body = {"v": envelope.v, "kind": envelope.kind, "task": envelope.task,
+            "round": envelope.round, "from": envelope.sender,
+            "to": envelope.receiver, "payload": payload}
+    text = json.dumps(body, separators=(",", ":"), allow_nan=False)
     return text.encode("utf-8") + b"\n"
 
 
-def _reject_constant(name: str):
-    raise err.NonFinitePayload(f"non-finite literal {name} in message")
+def _unframe(kind: str, payload: dict) -> None:
+    """Replace each float64 frame the kind admits by its array, checked
+    against the payload's ids."""
+    required, optional = _SCHEMAS[kind]
+    ids = payload.get("ids")
+    rows = len(ids) if isinstance(ids, list) else None
+    admitted = _FRAMES & (required.keys() | optional.keys())
+    for name in sorted(admitted & payload.keys()):
+        try:
+            raw = base64.b64decode(payload[name], validate=True)
+        except (TypeError, ValueError):
+            raise err.MalformedMessage(f"{name}: not a base64 frame") from None
+        if len(raw) % 8:
+            raise err.MalformedMessage(f"{name}: {len(raw)} bytes of float64")
+        arr = np.frombuffer(raw, dtype="<f8")
+        if name == "matrix":
+            cols = payload.pop("cols", None)
+            if rows is None or not _is_int(cols) or cols < 1:
+                raise err.MalformedMessage("matrix needs ids and cols >= 1")
+            if arr.size != rows * cols:
+                raise err.ShapeMismatch(f"{arr.size} floats, {rows} x {cols}")
+            arr = arr.reshape(rows, cols)
+        elif name == "values" and rows is not None and arr.size != rows:
+            raise err.ShapeMismatch(f"{rows} ids but {arr.size} values")
+        payload[name] = arr
 
 
 def decode(data) -> Envelope:
     """Parse one line back into an Envelope.
 
     Raises MalformedMessage for anything that is not a single well-formed
-    line of the expected shape, UnsupportedVersion for a foreign ``v`` and
-    NonFinitePayload for a ``NaN``/``Infinity``/``-Infinity`` literal.
+    line of the expected shape, UnsupportedVersion for a foreign ``v``,
+    ShapeMismatch for a frame that does not fit the ids and
+    NonFinitePayload for NaN or infinity in the payload.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -247,7 +254,7 @@ def decode(data) -> Envelope:
     if "\n" in text:
         raise err.MalformedMessage("expected exactly one line")
     try:
-        body = json.loads(text, parse_constant=_reject_constant)
+        body = json.loads(text)
     except json.JSONDecodeError as exc:
         raise err.MalformedMessage(f"bad JSON: {exc}") from None
     if not isinstance(body, dict):
@@ -265,6 +272,7 @@ def decode(data) -> Envelope:
         raise err.MalformedMessage(f"unknown kind {kind!r}")
     if not isinstance(body["payload"], dict):
         raise err.MalformedMessage("payload must be an object")
+    _unframe(kind, body["payload"])
     return Envelope(kind=kind, task=body["task"], round=body["round"],
                     sender=body["from"], receiver=body["to"],
                     payload=body["payload"], v=version)
@@ -425,19 +433,22 @@ class ModuleResponder:
                                epochs=p["epochs"], seed=svc.seed)
         except ValueError as exc:
             raise err.MalformedMessage(f"WTILDE_TRANSFER: {exc}") from None
+        # the peer's round and shapes are checked before any arithmetic
+        weights = svc.latest_weights()
+        width = weights.shape[1]
+        if env.round % 2:
+            raise err.MalformedMessage(f"round {env.round} is Alice's")
+        if (p["matrix"].shape, p["b_hidden"].shape, p["w_out"].shape) \
+                != ((len(p["ids"]), width), (width,), (width,)):
+            raise err.ShapeMismatch(f"shapes do not fit hidden width {width}")
         X = self._rows(p["ids"])
         y = svc.labels.lookup(p["ids"])
-        shared = SharedWeights(b_hidden=np.array(p["b_hidden"]),
-                               w_out=np.array(p["w_out"]),
-                               b_out=float(p["b_out"]))
-        w_new, shared_new = bob_update_round(
-            svc.latest_weights(), env.round, X, np.array(p["matrix"]), y,
-            shared, opt)
+        shared = SharedWeights(b_hidden=p["b_hidden"], w_out=p["w_out"],
+                               b_out=p["b_out"])
+        w_new, shared_new = bob_update_round(weights, env.round, X,
+                                             p["matrix"], y, shared, opt)
         svc.snapshots[env.round] = w_new
-        return self._reply(env, "WTILDE_TRANSFER",
-                           {"b_hidden": shared_new.b_hidden,
-                            "w_out": shared_new.w_out,
-                            "b_out": shared_new.b_out})
+        return self._reply(env, "WTILDE_TRANSFER", vars(shared_new))
 
 
 @dataclass
@@ -463,9 +474,9 @@ class _NnTaskService:
 class InProcEndpoint:
     """Same-process endpoint: envelopes are dispatched without a byte hop.
 
-    Envelope construction already normalizes payloads to the JSON value
-    domain and the codec is lossless for finite doubles, so results are
-    bit-identical to TCP (the acceptance suite checks exactly that).
+    Envelope construction already holds float fields as the float64 arrays
+    that ``decode`` rebuilds from their frames, so results are bit-identical
+    to TCP (the acceptance suite checks exactly that).
     """
 
     def __init__(self, responder: ModuleResponder):

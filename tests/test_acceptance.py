@@ -6,6 +6,8 @@ always runs; the full-scale variant (n_train=10000, n_test=100000, five
 replications) is expensive and only runs when ASSIST_ACCEPT_FULL=1.
 """
 
+import base64
+import json
 import os
 import socket
 import time
@@ -433,6 +435,36 @@ def test_criterion_7_tcp_is_bit_identical(chain_inproc, split_inproc,
 # cannot take a responder down
 # ---------------------------------------------------------------------------
 
+_FLOAT_FIELDS = ("values", "matrix", "features")
+
+
+def _accepts(kind, payload) -> bool:
+    """Whether any path admits ``payload`` as ``kind``: the schema on the
+    arrays an Envelope holds, an Envelope built from the payload, or a wire
+    line carrying its float fields as frames (with the column count)."""
+    held = {k: np.array(v, dtype=np.float64) if k in _FLOAT_FIELDS else v
+            for k, v in payload.items()}
+    wire = dict(payload)
+    for name in _FLOAT_FIELDS & payload.keys():
+        wire[name] = base64.b64encode(held[name].tobytes()).decode()
+        if held[name].ndim == 2:
+            wire["cols"] = held[name].shape[1]
+    line = json.dumps({"v": 2, "kind": kind, "task": "t", "round": 1,
+                       "from": "a", "to": "b", "payload": wire})
+    attempts = (lambda: validate_payload(kind, held),
+                lambda: Envelope(kind=kind, task="t", round=1, sender="a",
+                                 receiver="b", payload=payload),
+                lambda: decode(line))
+    accepted = False
+    for attempt in attempts:
+        try:
+            attempt()
+            accepted = True
+        except (err.MalformedMessage, err.ShapeMismatch):
+            pass
+    return accepted
+
+
 def test_criterion_8_schema_confinement_and_fuzz(capsys):
     started = time.perf_counter()
     matrix_smuggling = 0
@@ -444,12 +476,7 @@ def test_criterion_8_schema_confinement_and_fuzz(capsys):
             {"ids": ["a"], "values": [1.0], "features": [[1.0]]},
             {"ids": ["a"], "rounds": [[1]]},
         ]
-        for payload in payloads:
-            try:
-                validate_payload(kind, payload)
-                matrix_smuggling += 1
-            except err.MalformedMessage:
-                pass
+        matrix_smuggling += sum(_accepts(kind, p) for p in payloads)
 
     spec = SyntheticSpec(kind="friedman1", n=20, noise_sd=1.0, seed=9)
     part, _ = generate(spec)

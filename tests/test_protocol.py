@@ -408,7 +408,7 @@ def _predict(ep):
 
 
 def _partial(ep):
-    return _fetch_partial(ep, "alice", "t", 1, ["a", "b"], 5.0)
+    return _fetch_partial(ep, "alice", "t", 1, ["a", "b"], 1, 5.0)
 
 
 @pytest.mark.parametrize("call, kind, payload, error", [
@@ -435,3 +435,12 @@ def test_matching_replies_pass_their_values_through():
     ep = _CannedEndpoint("PARTIAL_PREACT",
                          lambda ids: {"ids": ids, "matrix": [[1.0], [2.0]]})
     assert _partial(ep).shape == (2, 1)
+
+
+def test_partial_reply_needs_hidden_columns():
+    ep = _CannedEndpoint("PARTIAL_PREACT",
+                         lambda ids: {"ids": ids, "matrix": np.zeros((2, 2))})
+    with pytest.raises(err.ShapeMismatch):
+        _partial(ep)  # one hidden column expected
+    assert _fetch_partial(ep, "alice", "t", 1, ["a", "b"], 2, 5.0).shape \
+        == (2, 2)

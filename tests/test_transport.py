@@ -1,5 +1,7 @@
+import base64
 import enum
 import json
+import logging
 import math
 import socket
 import threading
@@ -36,13 +38,29 @@ def _fit_env(module, ids, values, round_no=1, task="t"):
 # codec
 # ---------------------------------------------------------------------------
 
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).tobytes()
+
+
 def test_encode_decode_round_trip_is_lossless():
-    tricky = [0.1, 1e-300, 1e300, -2.5000000000000004, 3.141592653589793]
+    tiny = np.finfo(float).smallest_subnormal
+    tricky = [0.1, -0.0, 0.0, 1e-300, 1e300, -2.5000000000000004,
+              3.141592653589793, tiny, 5e-324, -5e-324, 3 * tiny,
+              np.finfo(float).tiny / 2, np.finfo(float).max,
+              -np.finfo(float).max]
+    ids = [f"i{k}" for k in range(len(tricky))]
     env = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
-                   receiver="b", payload={"ids": ["x"], "values": tricky})
+                   receiver="b", payload={"ids": ids, "values": tricky})
+    line = encode(env)
+    back = decode(line)
+    assert _bits(back.payload["values"]) == _bits(tricky)  # bit for bit
+    assert back.payload["ids"] == ids and encode(back) == line
+    matrix = np.array(tricky).reshape(7, 2)
+    env = Envelope(kind="PARTIAL_PREACT", task="t", round=3, sender="a",
+                   receiver="b", payload={"ids": ids[:7], "matrix": matrix})
     back = decode(encode(env))
-    assert back == env
-    assert back.payload["values"] == tricky  # bit-for-bit doubles
+    assert back.payload["matrix"].shape == (7, 2)
+    assert _bits(back.payload["matrix"]) == _bits(matrix)
 
 
 def test_encode_is_single_json_line():
@@ -53,14 +71,23 @@ def test_encode_is_single_json_line():
     body = json.loads(raw)
     assert set(body) == {"v", "kind", "task", "round", "from", "to",
                          "payload"}
-    assert body["v"] == 1 and body["from"] == "a" and body["to"] == "b"
+    assert body["v"] == 2 and body["from"] == "a" and body["to"] == "b"
+    env = Envelope(kind="PARTIAL_PREACT", task="t", round=1, sender="a",
+                   receiver="b", payload={"ids": ["x", "y"],
+                                          "matrix": np.arange(6.0)
+                                          .reshape(2, 3)})
+    payload = json.loads(encode(env))["payload"]
+    assert payload["ids"] == ["x", "y"] and payload["cols"] == 3
+    assert base64.b64decode(payload["matrix"]) == \
+        np.arange(6.0).astype("<f8").tobytes()
 
 
 def test_envelope_validation():
     ok = dict(kind="REFUSE", task="t", round=0, sender="a", receiver="b")
     Envelope(**ok)
-    with pytest.raises(err.UnsupportedVersion):
-        Envelope(**ok, v=2)
+    for version in (1, 3):
+        with pytest.raises(err.UnsupportedVersion):
+            Envelope(**ok, v=version)
     with pytest.raises(err.MalformedMessage):
         Envelope(**{**ok, "kind": "GOSSIP"})
     with pytest.raises(err.MalformedMessage):
@@ -72,15 +99,28 @@ def test_envelope_validation():
 
 
 def test_payload_normalizes_numpy_and_bans_non_finite():
-    env = Envelope(kind="FIT_RESPONSE", task="t", round=1, sender="a",
-                   receiver="b",
-                   payload={"ids": ["i"], "values": np.array([1.5])})
-    assert env.payload["values"] == [1.5]
-    assert isinstance(env.payload["values"][0], float)
+    for given in ([1.5], np.array([1.5]), np.array([1.5], dtype=np.float32),
+                  np.array([3])):
+        env = Envelope(kind="FIT_RESPONSE", task="t", round=1, sender="a",
+                       receiver="b", payload={"ids": ["i"], "values": given})
+        values = env.payload["values"]
+        assert values.dtype == np.float64 and values.shape == (1,)
+        assert not values.flags.writeable
+        assert values[0] == float(np.asarray(given)[0])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(err.NonFinitePayload):
             Envelope(kind="FIT_RESPONSE", task="t", round=1, sender="a",
                      receiver="b", payload={"ids": ["i"], "values": [bad]})
+        with pytest.raises(err.NonFinitePayload):
+            Envelope(kind="WTILDE_TRANSFER", task="t", round=2, sender="a",
+                     receiver="b", payload={"b_hidden": [0.0], "w_out": [1.0],
+                                            "b_out": bad})
+    for not_numbers in (["1.5"], [True], [None], [[1.0], [2.0, 3.0]],
+                        np.array([1j]), np.array([1.0], dtype=np.longdouble)):
+        with pytest.raises(err.MalformedMessage):
+            Envelope(kind="FIT_RESPONSE", task="t", round=1, sender="a",
+                     receiver="b", payload={"ids": ["i"],
+                                            "values": not_numbers})
     with pytest.raises(err.MalformedMessage):
         Envelope(kind="REFUSE", task="t", round=0, sender="a", receiver="b",
                  payload={"reason": object()})
@@ -94,17 +134,106 @@ def test_decode_rejects_garbage():
     with pytest.raises(err.MalformedMessage):
         decode(b"[1, 2]\n")
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v": 1}\n')
+        decode(b'{"v": 2}\n')
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v":1,"kind":"REFUSE"}\n{"second":1}\n')
+        decode(b'{"v":2,"kind":"REFUSE"}\n{"second":1}\n')
     line = encode(Envelope(kind="REFUSE", task="t", round=0, sender="a",
                            receiver="b")).decode()
-    with pytest.raises(err.UnsupportedVersion):
-        decode(line.replace('"v":1', '"v":9'))
+    for version in ('"v":1', '"v":9'):
+        with pytest.raises(err.UnsupportedVersion):
+            decode(line.replace('"v":2', version))
     with pytest.raises(err.MalformedMessage):
-        decode(line.replace('"v":1', '"v":"1"'))
+        decode(line.replace('"v":2', '"v":"2"'))
     with pytest.raises(err.MalformedMessage):
         decode(line.replace("REFUSE", "GOSSIP"))
+
+
+def _frame_line(kind, payload, round_no=1):
+    """A hand-built v2 line; float fields are given as raw frame text."""
+    return (json.dumps({"v": 2, "kind": kind, "task": "t", "round": round_no,
+                        "from": "a", "to": "m", "payload": payload})
+            + "\n").encode()
+
+
+def _b64(values):
+    return base64.b64encode(
+        np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def test_decode_checks_frames_against_the_ids():
+    ids = ["a", "b", "c"]
+    assert decode(_frame_line("FIT_REQUEST", {"ids": ids,
+                                              "values": _b64([1, 2, 3])}))
+    for k in (2, 3):  # a flattened (len(ids), k) matrix is not a vector
+        with pytest.raises(err.ShapeMismatch):
+            decode(_frame_line("FIT_REQUEST", {
+                "ids": ids, "values": _b64(np.ones(len(ids) * k))}))
+    for kind in ("FIT_RESPONSE", "PREDICT_RESPONSE"):
+        with pytest.raises(err.ShapeMismatch):
+            decode(_frame_line(kind, {"ids": ids, "values": _b64([1, 2])}))
+    partial = {"ids": ids, "matrix": _b64(np.ones(6)), "cols": 2}
+    assert decode(_frame_line("PARTIAL_PREACT", partial)).payload[
+        "matrix"].shape == (3, 2)
+    for rows in (2, 4):
+        with pytest.raises(err.ShapeMismatch):
+            decode(_frame_line("PARTIAL_PREACT", {
+                **partial, "matrix": _b64(np.ones(rows * 2))}))
+    for cols in (None, 0, -2, 2.0, True, "2"):
+        bad = {**partial, "cols": cols} if cols is not None else \
+            {"ids": ids, "matrix": partial["matrix"]}
+        with pytest.raises(err.MalformedMessage):
+            decode(_frame_line("PARTIAL_PREACT", bad))
+    # a column count or a matrix where the kind admits none
+    with pytest.raises(err.MalformedMessage):
+        decode(_frame_line("FIT_REQUEST", {"ids": ids,
+                                           "values": _b64([1, 2, 3]),
+                                           "cols": 1}))
+    with pytest.raises(err.MalformedMessage):
+        decode(_frame_line("FIT_REQUEST", {"ids": ids,
+                                           "values": _b64([1, 2, 3]),
+                                           **partial}))
+    with pytest.raises(err.NonFinitePayload):
+        decode(_frame_line("FIT_REQUEST", {"ids": ids,
+                                           "values": _b64([1, np.nan, 3])}))
+
+
+@pytest.mark.parametrize("frame", [
+    _b64([1.0, 2.0])[:-3],                 # truncated
+    _b64([1.0, 2.0]) + "=",                # bad padding
+    "not base64!",
+    "AAAA",                                # 3 bytes, not whole float64s
+    base64.b64encode(b"\x00" * 9).decode(),  # 9 bytes
+    "\u00e9\u00e9\u00e9\u00e9",                  # non-ASCII
+    [1.0, 2.0], 1.5, None, {"f8": "AAAAAAAAAAA="},
+], ids=["truncated", "padding", "alphabet", "three-bytes", "nine-bytes",
+        "non-ascii", "list", "number", "null", "object"])
+def test_bad_frames_are_malformed_and_never_a_traceback(frame, caplog):
+    line = _frame_line("FIT_REQUEST", {"ids": ["a", "b"], "values": frame})
+    with pytest.raises(err.MalformedMessage):
+        decode(line)
+    with caplog.at_level(logging.ERROR, logger="assistlearn"):
+        reply = ModuleResponder(_module()).answer(line)
+    assert reply.kind == "ERROR"
+    assert reply.payload["error"] == "MalformedMessage"
+    assert not caplog.records
+
+
+def test_envelope_copies_and_never_freezes_the_callers_arrays():
+    values = np.array([1.0, 2.0])
+    env = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                   receiver="b", payload={"ids": ["a", "b"], "values": values})
+    assert values.flags.writeable
+    assert not np.shares_memory(env.payload["values"], values)
+    values[0] = 9.0
+    assert env.payload["values"].tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        env.payload["values"][0] = 9.0
+    frozen = np.array([1.0, 2.0])
+    frozen.flags.writeable = False
+    env = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                   receiver="b", payload={"ids": ["a", "b"], "values": frozen})
+    assert not np.shares_memory(env.payload["values"], frozen)
+    assert not frozen.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +266,9 @@ def _ref_is_id_list(v):
     return isinstance(v, list) and all(isinstance(s, str) and s for s in v)
 
 
-def _ref_is_num_list(v):
-    return isinstance(v, list) and all(_ref_is_num(x) for x in v)
-
-
 def _ref_is_int_list(v):
     return isinstance(v, list) and all(
         isinstance(x, int) and not isinstance(x, bool) for x in v)
-
-
-def _ref_is_matrix(v):
-    if not isinstance(v, list) or not v:
-        return isinstance(v, list)
-    if not all(isinstance(row, list) for row in v):
-        return False
-    width = len(v[0])
-    return all(len(row) == width and all(_ref_is_num(x) for x in row)
-               for row in v)
 
 
 class _Colour(enum.IntEnum):
@@ -217,10 +332,8 @@ _CHECK_CASES = [
 
 @pytest.mark.parametrize("new, ref", [
     (transport._is_id_list, _ref_is_id_list),
-    (transport._is_num_list, _ref_is_num_list),
     (transport._is_int_list, _ref_is_int_list),
-    (transport._is_matrix, _ref_is_matrix),
-], ids=["ids", "num", "int", "matrix"])
+], ids=["ids", "int"])
 def test_list_checks_match_per_element_reference(new, ref):
     for value in _CHECK_CASES:
         assert bool(new(value)) == bool(ref(value)), value
@@ -243,83 +356,95 @@ def test_envelope_does_not_alias_the_callers_lists():
     ids[0] = "z"
     values.append(3.0)
     rounds[1] = 7
-    assert fit.payload == {"ids": ["a", "b"], "values": [1.0, 2.0]}
+    assert fit.payload["ids"] == ["a", "b"]
+    assert fit.payload["values"].tolist() == [1.0, 2.0]
     assert predict_env.payload == {"ids": ["a", "b"], "rounds": [1, 2]}
 
 
 def test_payload_path_does_no_per_element_work(monkeypatch):
-    calls = dict.fromkeys(("_is_num", "_is_int", "_plain"), 0)
+    """Float values never pass through per-element Python code: the calls
+    into the payload helpers do not grow with the number of values, and no
+    Python float reaches them."""
+    seen = []
 
     def counting(name):
         real = getattr(transport, name)
 
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
+        def counted(value):
+            seen.append((name, type(value)))
+            return real(value)
         return counted
 
-    for name in calls:
+    for name in ("_plain", "_frame"):
         monkeypatch.setattr(transport, name, counting(name))
-    n = 10_000
-    ids = [f"id{i:05d}" for i in range(n)]
-    fit = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
-                   receiver="b",
-                   payload={"ids": ids,
-                            "values": np.random.default_rng(0)
-                            .standard_normal(n)})
-    predict_env = Envelope(kind="PREDICT_REQUEST", task="t", round=1,
-                           sender="a", receiver="b",
-                           payload={"ids": ids, "rounds": list(range(1, 11))})
-    for env in (fit, predict_env):
-        assert decode(encode(env)) == env
-    assert calls["_is_num"] == 0
-    assert calls["_is_int"] == 0
-    # one call per payload and per field, on each side of each trip
-    assert calls["_plain"] == 12
+
+    def trip(n):
+        seen.clear()
+        ids = [f"id{i:05d}" for i in range(n)]
+        env = Envelope(kind="PREDICT_RESPONSE", task="t", round=0,
+                       sender="a", receiver="b",
+                       payload={"ids": ids, "values": np.random
+                                .default_rng(n).standard_normal(n)})
+        line = encode(env)
+        back = decode(line)
+        assert isinstance(json.loads(line)["payload"]["values"], str)
+        assert back.payload["values"].tobytes() == \
+            env.payload["values"].tobytes()
+        return list(seen)
+
+    small, large = trip(10), trip(15_000)
+    assert len(large) == len(small)
+    assert not any(issubclass(t, float) for _, t in large)
 
 
 # ---------------------------------------------------------------------------
 # payload schemas: residual vectors only, never feature matrices
 # ---------------------------------------------------------------------------
 
+def _vec(*values):
+    return np.array(values, dtype=float)
+
+
 def test_fit_schema_rejects_two_dimensional_values():
-    validate_payload("FIT_REQUEST", {"ids": ["a"], "values": [1.0]})
-    with pytest.raises(err.MalformedMessage):
-        validate_payload("FIT_REQUEST", {"ids": ["a"], "values": [[1.0]]})
-    with pytest.raises(err.MalformedMessage):
-        validate_payload("FIT_RESPONSE", {"ids": ["a"], "values": [[1.0]]})
-    with pytest.raises(err.MalformedMessage):
-        validate_payload("PREDICT_RESPONSE", {"ids": ["a"],
-                                              "values": [[1.0, 2.0]]})
+    validate_payload("FIT_REQUEST", {"ids": ["a"], "values": _vec(1.0)})
+    for kind in ("FIT_REQUEST", "FIT_RESPONSE", "PREDICT_RESPONSE"):
+        for values in (np.ones((1, 1)), np.ones((1, 2)), [1.0], [[1.0]]):
+            with pytest.raises(err.MalformedMessage):
+                validate_payload(kind, {"ids": ["a"], "values": values})
 
 
 def test_fit_schema_rejects_extra_fields():
     with pytest.raises(err.MalformedMessage):
         validate_payload("FIT_REQUEST",
-                         {"ids": ["a"], "values": [1.0],
-                          "matrix": [[1.0]]})
+                         {"ids": ["a"], "values": _vec(1.0),
+                          "matrix": np.ones((1, 1))})
     with pytest.raises(err.MalformedMessage):
         validate_payload("PREDICT_REQUEST",
-                         {"ids": ["a"], "rounds": [1], "features": [1.0]})
+                         {"ids": ["a"], "rounds": [1], "features": _vec(1.0)})
 
 
 def test_fit_schema_requires_fields_and_types():
     with pytest.raises(err.MalformedMessage):
         validate_payload("FIT_REQUEST", {"ids": ["a"]})
     with pytest.raises(err.MalformedMessage):
-        validate_payload("FIT_REQUEST", {"ids": ["a"], "values": [True]})
+        Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                 receiver="b", payload={"ids": ["a"], "values": [True]})
     with pytest.raises(err.MalformedMessage):
-        validate_payload("FIT_REQUEST", {"ids": [1], "values": [1.0]})
+        validate_payload("FIT_REQUEST", {"ids": [1], "values": _vec(1.0)})
     with pytest.raises(err.MalformedMessage):
         validate_payload("PREDICT_REQUEST", {"ids": ["a"], "rounds": [1.5]})
 
 
 def test_matrix_payloads_only_where_the_protocol_needs_them():
     validate_payload("PARTIAL_PREACT", {"ids": ["a"],
-                                        "matrix": [[1.0, 2.0]]})
+                                        "matrix": np.ones((1, 2))})
     with pytest.raises(err.MalformedMessage):
         validate_payload("PARTIAL_PREACT", {"ids": ["a"],
-                                            "matrix": [[1.0], [2.0, 3.0]]})
+                                            "matrix": _vec(1.0, 2.0)})
+    with pytest.raises(err.MalformedMessage):
+        Envelope(kind="PARTIAL_PREACT", task="t", round=1, sender="a",
+                 receiver="b",
+                 payload={"ids": ["a"], "matrix": [[1.0], [2.0, 3.0]]})
     with pytest.raises(err.MalformedMessage):
         validate_payload("ERROR", {})
     validate_payload("ERROR", {"error": "Boom", "message": "details"})
@@ -458,6 +583,39 @@ def test_wtilde_rejects_bad_optimizer_settings(bad_opt):
     assert reply.payload["error"] == "MalformedMessage"
 
 
+@pytest.mark.parametrize("round_no, rows, cols, b_len, error", [
+    (3, 10, 3, 3, "MalformedMessage"),   # odd rounds are the label owner's
+    (2, 10, 4, 3, "ShapeMismatch"),      # matrix wider than Bob's block
+    (2, 8, 3, 3, "ShapeMismatch"),       # fewer rows than ids
+    (2, 12, 3, 3, "ShapeMismatch"),      # more rows than ids
+    (2, 10, 3, 2, "ShapeMismatch"),      # b_hidden/w_out not hidden long
+], ids=["odd-round", "width", "fewer-rows", "more-rows", "shared-length"])
+def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
+        round_no, rows, cols, b_len, error, caplog):
+    module = _module(seed=8)
+    responder = ModuleResponder(module)
+    ids = list(module.partition.ids[:10])
+    setup = responder.answer(Envelope(
+        kind="LABELS_TRANSFER", task="t", round=0, sender="alice",
+        receiver="m", payload={"ids": ids, "values": np.arange(10.0),
+                               "seed": 1, "hidden": 3, "peer_cols": 2}))
+    assert setup.kind == "LABELS_TRANSFER"
+    request = Envelope(kind="WTILDE_TRANSFER", task="t", round=round_no,
+                       sender="alice", receiver="m",
+                       payload={"ids": ids, "matrix": np.zeros((rows, cols)),
+                                "b_hidden": np.zeros(b_len),
+                                "w_out": np.full(b_len, 0.1), "b_out": 0.0,
+                                "rate": 0.01, "batch": 2, "epochs": 1})
+    with caplog.at_level(logging.ERROR, logger="assistlearn"):
+        in_process = responder.answer(request)
+        over_wire = responder.answer(encode(request))
+    for reply in (in_process, over_wire):
+        assert reply.kind == "ERROR"
+        assert reply.payload["error"] == error
+    assert not caplog.records
+    assert list(responder._nn["t"].snapshots) == [0]  # nothing trained
+
+
 def test_inproc_endpoint_reports_module_id():
     module = _module(module_id="peer-9")
     assert InProcEndpoint(ModuleResponder(module)).module_id == "peer-9"
@@ -476,7 +634,7 @@ def test_tcp_round_trip_matches_in_process():
     with serve_module(module_b) as server:
         over_wire = server.endpoint().request(
             _fit_env(module_b, module_b.partition.ids, y))
-    assert over_wire.payload == direct.payload  # identical doubles
+    assert encode(over_wire) == encode(direct)  # identical bytes
 
 
 def test_tcp_many_requests_and_threads():
@@ -562,22 +720,28 @@ def test_wrong_version_over_the_wire():
     with serve_module(module) as server:
         line = encode(Envelope(kind="REFUSE", task="t", round=0, sender="a",
                                receiver="b")).decode()
-        line = line.replace('"v":1', '"v":3')
         with socket.create_connection((server.host, server.port),
                                       timeout=5.0) as conn:
-            conn.sendall(line.encode() + b"\n")
-            reply = decode(conn.makefile("rb").readline())
-    assert reply.kind == "ERROR"
-    assert reply.payload["error"] == "UnsupportedVersion"
+            reader = conn.makefile("rb")
+            for version in ('"v":1', '"v":3'):
+                conn.sendall(line.replace('"v":2', version).encode())
+                reply = decode(reader.readline())
+                assert reply.kind == "ERROR"
+                assert reply.payload["error"] == "UnsupportedVersion"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_literals_are_rejected_on_the_wire(literal):
+    """Scalars stay JSON numbers; a non-finite one is refused like a
+    non-finite float inside a frame."""
     module = _module(seed=15)
     ids = list(module.partition.ids)
     good = encode(_fit_env(module, ids, [0.25] * len(ids)))
-    bad = good.replace(b"0.25", literal.encode(), 1)
-    assert bad != good
+    shared = _frame_line("WTILDE_TRANSFER", {
+        "b_hidden": _b64([0.0]), "w_out": _b64([1.0]), "b_out": 0.25},
+        round_no=2)
+    bad = shared.replace(b"0.25", literal.encode(), 1)
+    assert bad != shared and decode(shared).payload["b_out"] == 0.25
     with pytest.raises(err.NonFinitePayload):
         decode(bad)
     with serve_module(module) as server:
