@@ -102,6 +102,10 @@ class UnsupportedVersion(TransportError):
     """Envelope version is not supported by this endpoint."""
 
 
+class UnknownIdSet(TransportError):
+    """An ``id_set`` names no id list that the peer holds for the task."""
+
+
 class BindFailure(TransportError):
     """A server socket could not be bound."""
 

@@ -35,8 +35,8 @@ from .core import LocalModule, TaskLabels, align
 from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
 from .protocol import (ProtocolConfig, argmin_round, stop_check,
-                       _alice_rows, _echo_roundtrip, _roundtrip,
-                       _working_sets)
+                       _alice_rows, _echo_roundtrip, _ids_roundtrip,
+                       _roundtrip, _working_sets)
 from .transport import Envelope
 
 log = logging.getLogger("assistlearn")
@@ -203,6 +203,7 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
         X_val = align(alice.partition, hold_ids)
         y_val = labels.lookup(hold_ids)
 
+    known: dict = {}
     snapshots = {0: (w_alice.copy(), shared)}
     history: list[float] = []
     timings: list[float] = []
@@ -210,25 +211,27 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
         started = time.perf_counter()
         if solo or round_no % 2 == 1:
             offset = None if solo else _fetch_partial(
-                bob_ep, alice.module_id, task_id, round_no - 1, train_ids,
-                config.hidden, config.timeout)
+                bob_ep, known, alice.module_id, task_id, round_no - 1,
+                train_ids, config.hidden, config.timeout)
             w_alice, shared = _update_party(X_train, offset, y_train,
                                             w_alice, shared, opt, round_no)
         else:
-            partial = X_train @ w_alice
-            reply = _roundtrip(bob_ep, Envelope(
-                kind="WTILDE_TRANSFER", task=task_id, round=round_no,
-                sender=alice.module_id, receiver=bob_ep.module_id,
-                payload={**vars(shared), "ids": list(train_ids),
-                         "matrix": partial, "rate": opt.rate,
-                         "batch": opt.batch, "epochs": opt.epochs}),
+            reply, _ = _ids_roundtrip(
+                bob_ep, known, dict(kind="WTILDE_TRANSFER", task=task_id,
+                                    round=round_no, sender=alice.module_id),
+                train_ids, {**vars(shared), "matrix": X_train @ w_alice,
+                            "rate": opt.rate, "batch": opt.batch,
+                            "epochs": opt.epochs},
                 config.timeout, "WTILDE_TRANSFER")
             shared = SharedWeights(b_hidden=reply.payload["b_hidden"],
                                    w_out=reply.payload["w_out"],
                                    b_out=reply.payload["b_out"])
+            if {len(shared.b_hidden), len(shared.w_out)} != {config.hidden}:
+                raise err.ShapeMismatch(f"WTILDE_TRANSFER reply does not "
+                                        f"fit hidden width {config.hidden}")
         snapshots[round_no] = (w_alice.copy(), shared)
         other = None if solo else _fetch_partial(
-            bob_ep, alice.module_id, task_id, round_no, val_ids,
+            bob_ep, known, alice.module_id, task_id, round_no, val_ids,
             config.hidden, config.timeout)
         pred = dense_forward(X_val, other, w_alice, shared.b_hidden,
                              shared.w_out, shared.b_out)
@@ -267,17 +270,16 @@ def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
             f"round {round_no} was never executed") from None
     other = None
     if result.bob_cols > 0:
-        other = _fetch_partial(bob_ep, alice.module_id, result.task_id,
-                               round_no, tuple(ids), len(shared.b_hidden),
-                               timeout)
+        other = _fetch_partial(bob_ep, {}, alice.module_id,
+                               result.task_id, round_no, ids,
+                               len(shared.b_hidden), timeout)
     return dense_forward(X, other, w_alice, shared.b_hidden,
                          shared.w_out, shared.b_out)
 
 
-def _fetch_partial(endpoint, sender, task_id, round_no, ids, hidden,
+def _fetch_partial(endpoint, known, sender, task_id, round_no, ids, hidden,
                    timeout) -> np.ndarray:
-    env = Envelope(kind="PARTIAL_PREACT", task=task_id, round=round_no,
-                   sender=sender, receiver=endpoint.module_id,
-                   payload={"ids": list(ids)})
-    return _echo_roundtrip(endpoint, env, timeout, "PARTIAL_PREACT", "matrix",
-                           (hidden,))
+    head = dict(kind="PARTIAL_PREACT", task=task_id, round=round_no,
+                sender=sender)
+    return _echo_roundtrip(endpoint, known, head, ids, {}, timeout,
+                           "PARTIAL_PREACT", "matrix", (hidden,))

@@ -31,7 +31,7 @@ from .core import LocalModule, TaskLabels, align, collate, derive_seed
 from .data import SplitSpec, split as id_split
 from .learners import LearnerSpec, fit_learner, predict
 from .metrics import mad, rms, rmse
-from .transport import Envelope
+from .transport import Envelope, id_digest
 
 log = logging.getLogger("assistlearn")
 
@@ -110,20 +110,22 @@ class BaselineMetrics:
 # ---------------------------------------------------------------------------
 
 def assist_fit(module: LocalModule, task_id: str, round_no: int,
-               ids: Sequence[str], values: np.ndarray) -> np.ndarray:
+               ids: Sequence[str], values: np.ndarray,
+               X: Optional[np.ndarray] = None) -> np.ndarray:
     """Fit the module's learner to an incoming residual; return the new one.
 
     ``values`` holds one residual per id (ShapeMismatch otherwise). The
     fitted model lands in the module's store under (task id, round) -
     writing the same key twice raises StorageConflict. The returned residual
     is the incoming values minus this model's predictions on the module's
-    own rows for ``ids``.
+    own rows for ``ids``; ``X`` passes those rows when the caller has them.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (len(ids),):
         raise err.ShapeMismatch(
             f"{len(ids)} ids vs values of shape {values.shape}")
-    X = align(module.partition, ids)
+    if X is None:
+        X = align(module.partition, ids)
     seed = derive_seed(module.learner.params.get("seed", 0),
                        task_id, module.module_id, round_no)
     model, fitted = fit_learner(module.learner, X, values, seed=seed)
@@ -198,6 +200,7 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
         cum_hold = np.zeros(len(hold_ids))
     module_ids = [alice.module_id] + [ep.module_id for ep in chain]
 
+    known: dict = {}
     residual = y_train.copy()
     records = []
     history: list[float] = []
@@ -218,9 +221,9 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
             cum_hold += predict(model, X_hold)
         for ep in list(chain):
             try:
-                residual = _fit_round_trip(ep, alice.module_id, task_id,
-                                           round_no, train_ids, residual,
-                                           config.timeout)
+                residual = _fit_round_trip(ep, known, alice.module_id,
+                                           task_id, round_no, train_ids,
+                                           residual, config.timeout)
             except err.AssistantRefused:
                 chain.remove(ep)
                 refusals.append((round_no, ep.module_id))
@@ -230,8 +233,8 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
             halfsteps.append(rms(residual))
             participants.append(ep.module_id)
             if hold_ids:
-                cum_hold += _predict_round_trip(ep, alice.module_id, task_id,
-                                                [round_no], hold_ids,
+                cum_hold += _predict_round_trip(ep, known, alice.module_id,
+                                                task_id, [round_no], hold_ids,
                                                 config.timeout)
         if hold_ids:
             val = rmse(y_hold, cum_hold)
@@ -322,11 +325,12 @@ def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
     for k in task.rounds_for(alice.module_id, upto):
         out += predict(alice.stored_model(task.task_id, k), X)
     by_id = {ep.module_id: ep for ep in assistants}
+    known: dict = {}
     for module_id in task.module_ids[1:]:
         rounds = task.rounds_for(module_id, upto)
         if not rounds:
             continue
-        out += _predict_round_trip(_endpoint_for(by_id, module_id),
+        out += _predict_round_trip(_endpoint_for(by_id, module_id), known,
                                    alice.module_id, task.task_id, rounds, ids,
                                    timeout)
     return out
@@ -342,6 +346,7 @@ def per_round_predictions(task: TrainedTask, alice, assistants, ids,
     """
     X = _alice_rows(alice, ids, alice_features)
     by_id = {ep.module_id: ep for ep in assistants}
+    known: dict = {}
     cum = np.zeros(len(ids))
     rows = []
     for rec in task.records:
@@ -350,8 +355,9 @@ def per_round_predictions(task: TrainedTask, alice, assistants, ids,
                 cum += predict(alice.stored_model(task.task_id, rec.round), X)
             else:
                 cum += _predict_round_trip(_endpoint_for(by_id, module_id),
-                                           alice.module_id, task.task_id,
-                                           [rec.round], ids, timeout)
+                                           known, alice.module_id,
+                                           task.task_id, [rec.round], ids,
+                                           timeout)
         rows.append(cum.copy())
     return np.vstack(rows)
 
@@ -466,13 +472,49 @@ def _roundtrip(endpoint, env: Envelope, timeout: float,
     return reply
 
 
-def _echo_roundtrip(endpoint, env: Envelope, timeout: float, expect: str,
-                    field: str, cols: tuple = ()) -> np.ndarray:
-    """Round trip whose reply echoes the request ids; returns the reply's
-    ``field`` as float64 of shape ``(len(ids), *cols)``."""
-    reply = _roundtrip(endpoint, env, timeout, expect)
-    ids = env.payload["ids"]
-    if reply.payload["ids"] != ids:
+def _ids_roundtrip(endpoint, known: dict, head: dict, ids, payload: dict,
+                   timeout: float, expect: str) -> tuple[Envelope, dict]:
+    """Send an id-bearing request; return the reply and the id field sent.
+
+    ``known`` is the stage call's record: each id list it has sent maps to
+    the list's digest, computed when first needed, and, per peer, whether
+    the peer holds the list. ``head`` holds the envelope's kind, task,
+    round and sender. A peer that holds the list gets its ``id_set``; any
+    other peer gets the full ``ids``. A peer that has dropped the list
+    answers UnknownIdSet: it gets the full list once more and, since its
+    cache is short of room, in every later request of the stage as well.
+    """
+    ids = tuple(ids)
+    entry = known.setdefault(ids, [None, {}])
+    holds = entry[1]
+    held = holds.get(endpoint.module_id)
+
+    def send(form):
+        env = Envelope(**head, receiver=endpoint.module_id,
+                       payload={**payload, **form})
+        return _roundtrip(endpoint, env, timeout, expect), form
+
+    if held:
+        entry[0] = entry[0] or id_digest(ids)
+        try:
+            return send({"id_set": entry[0]})
+        except err.UnknownIdSet:
+            log.info("module %s dropped id set %s; sending the ids in full",
+                     endpoint.module_id, entry[0])
+    reply = send({"ids": list(ids)})
+    holds[endpoint.module_id] = held is None
+    return reply
+
+
+def _echo_roundtrip(endpoint, known: dict, head: dict, ids, payload: dict,
+                    timeout: float, expect: str, field: str,
+                    cols: tuple = ()) -> np.ndarray:
+    """Id-bearing round trip whose reply echoes the request's id field;
+    returns the reply's ``field`` as float64 of shape ``(len(ids), *cols)``."""
+    reply, form = _ids_roundtrip(endpoint, known, head, ids, payload, timeout,
+                                 expect)
+    (name, value), = form.items()
+    if reply.payload.get(name) != value:
         raise err.ShapeMismatch("reply ids differ from request ids")
     if field not in reply.payload:
         raise err.MalformedMessage(f"{expect} reply without {field!r}")
@@ -491,18 +533,17 @@ def _raise_remote(reply: Envelope):
     raise err.TransportError(f"remote {name}: {message}")
 
 
-def _fit_round_trip(endpoint, sender, task_id, round_no, ids, values,
+def _fit_round_trip(endpoint, known, sender, task_id, round_no, ids, values,
                     timeout) -> np.ndarray:
-    env = Envelope(kind="FIT_REQUEST", task=task_id, round=round_no,
-                   sender=sender, receiver=endpoint.module_id,
-                   payload={"ids": list(ids), "values": values})
-    return _echo_roundtrip(endpoint, env, timeout, "FIT_RESPONSE", "values")
+    head = dict(kind="FIT_REQUEST", task=task_id, round=round_no,
+                sender=sender)
+    return _echo_roundtrip(endpoint, known, head, ids, {"values": values},
+                           timeout, "FIT_RESPONSE", "values")
 
 
-def _predict_round_trip(endpoint, sender, task_id, rounds, ids,
+def _predict_round_trip(endpoint, known, sender, task_id, rounds, ids,
                         timeout) -> np.ndarray:
-    env = Envelope(kind="PREDICT_REQUEST", task=task_id, round=0,
-                   sender=sender, receiver=endpoint.module_id,
-                   payload={"ids": list(ids), "rounds": [int(r) for r in rounds]})
-    return _echo_roundtrip(endpoint, env, timeout, "PREDICT_RESPONSE",
-                           "values")
+    head = dict(kind="PREDICT_REQUEST", task=task_id, round=0, sender=sender)
+    return _echo_roundtrip(endpoint, known, head, ids,
+                           {"rounds": [int(r) for r in rounds]}, timeout,
+                           "PREDICT_RESPONSE", "values")

@@ -17,22 +17,35 @@ confinement structurally. ``decode`` also needs a ``values`` frame to hold
 one float per id and a matrix one row per id (ShapeMismatch); a frame that
 is not base64 of whole float64s is MalformedMessage.
 
+FIT, PREDICT, PARTIAL_PREACT and WTILDE_TRANSFER requests name their ids
+either as ``ids`` or as ``id_set``, the ``id_digest`` of a list the same
+task already sent to this peer: SHA-256 hex of the list's compact JSON
+text, which is injective. Both or neither is MalformedMessage, and a reply
+echoes the form its request used. With an ``id_set`` the frames are checked
+against the ids once they resolve. A responder keeps each task's lists and
+their read-only rows, least recently used first, up to ID_SET_CAP ids; a
+digest it does not hold is UnknownIdSet, raised before any state changes.
+
 A module serves peers through ``ModuleResponder.answer``, which turns any
 failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
 ``TcpModuleServer``, the standard library's threaded TCP server, calls it
 once per line. Fit requests go to ``protocol.assist_fit(module, task_id,
-round_no, ids, values)``, which returns the residual array.
+round_no, ids, values, X)``, which returns the residual array.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import logging
 import math
+import operator
+import re
 import socket
 import socketserver
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -47,6 +60,15 @@ WIRE_VERSION = 2
 
 # payload fields that travel as float64 frames
 _FRAMES = frozenset({"values", "b_hidden", "w_out", "matrix"})
+
+# total ids a responder's id-set cache holds; the newest set always stays
+ID_SET_CAP = 1 << 12
+
+
+def id_digest(ids) -> str:
+    """SHA-256 hex of the ids' compact JSON array text (ASCII, so UTF-8)."""
+    text = json.dumps(list(ids), separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _plain(value):
@@ -118,18 +140,24 @@ def _is_int_list(v):
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
+def _is_digest(v):
+    return isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None
+
+
 _VECTOR, _MATRIX = _is_array(1), _is_array(2)
+# an id-bearing kind takes ``id_set`` in place of ``ids``
+_ID_SET = {"id_set": _is_digest}
 
 # kind -> (required fields, optional fields)
 _SCHEMAS: dict[str, tuple[dict, dict]] = {
-    "FIT_REQUEST": ({"ids": _is_id_list, "values": _VECTOR}, {}),
-    "FIT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, {}),
-    "PREDICT_REQUEST": ({"ids": _is_id_list, "rounds": _is_int_list}, {}),
-    "PREDICT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, {}),
-    "PARTIAL_PREACT": ({"ids": _is_id_list}, {"matrix": _MATRIX}),
+    "FIT_REQUEST": ({"ids": _is_id_list, "values": _VECTOR}, _ID_SET),
+    "FIT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, _ID_SET),
+    "PREDICT_REQUEST": ({"ids": _is_id_list, "rounds": _is_int_list}, _ID_SET),
+    "PREDICT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, _ID_SET),
+    "PARTIAL_PREACT": ({"ids": _is_id_list}, {"matrix": _MATRIX, **_ID_SET}),
     "WTILDE_TRANSFER": (
         {"b_hidden": _VECTOR, "w_out": _VECTOR, "b_out": _is_num},
-        {"ids": _is_id_list, "matrix": _MATRIX,
+        {"ids": _is_id_list, "matrix": _MATRIX, **_ID_SET,
          "rate": _is_num, "batch": _is_int, "epochs": _is_int},
     ),
     "LABELS_TRANSFER": (
@@ -149,8 +177,13 @@ def validate_payload(kind: str, payload: dict) -> None:
     if kind not in KINDS:
         raise err.MalformedMessage(f"unknown kind {kind!r}")
     required, optional = _SCHEMAS[kind]
+    present = payload.keys()
+    if "id_set" in present and "id_set" in optional:
+        if "ids" in present:
+            raise err.MalformedMessage(f"{kind}: both ids and id_set")
+        present = present | {"ids"}
     for name in required:
-        if name not in payload:
+        if name not in present:
             raise err.MalformedMessage(f"{kind}: missing field {name!r}")
     for name, value in payload.items():
         check = required.get(name) or optional.get(name)
@@ -160,7 +193,11 @@ def validate_payload(kind: str, payload: dict) -> None:
             raise err.MalformedMessage(f"{kind}: bad field {name!r}")
 
 
-@dataclass(frozen=True)
+_HEADER = operator.attrgetter("v", "kind", "task", "round", "sender",
+                              "receiver")
+
+
+@dataclass(frozen=True, eq=False)
 class Envelope:
     """One protocol message. Payload is normalized and schema-checked."""
 
@@ -190,6 +227,16 @@ class Envelope:
         validate_payload(self.kind, payload)
         object.__setattr__(self, "payload", payload)
 
+    def __eq__(self, other):
+        """Equal headers and payloads; float fields compare by value."""
+        if not isinstance(other, Envelope):
+            return NotImplemented
+        mine, theirs = self.payload, other.payload
+        return _HEADER(self) == _HEADER(other) \
+            and mine.keys() == theirs.keys() \
+            and all(np.array_equal(mine[k], theirs[k]) if k in _FRAMES
+                    else mine[k] == theirs[k] for k in mine)
+
 
 def encode(envelope: Envelope) -> bytes:
     """Serialize to one newline-terminated UTF-8 JSON line."""
@@ -210,7 +257,7 @@ def encode(envelope: Envelope) -> bytes:
 
 def _unframe(kind: str, payload: dict) -> None:
     """Replace each float64 frame the kind admits by its array, checked
-    against the payload's ids."""
+    against the payload's ids when it carries the list."""
     required, optional = _SCHEMAS[kind]
     ids = payload.get("ids")
     rows = len(ids) if isinstance(ids, list) else None
@@ -225,11 +272,13 @@ def _unframe(kind: str, payload: dict) -> None:
         arr = np.frombuffer(raw, dtype="<f8")
         if name == "matrix":
             cols = payload.pop("cols", None)
-            if rows is None or not _is_int(cols) or cols < 1:
-                raise err.MalformedMessage("matrix needs ids and cols >= 1")
-            if arr.size != rows * cols:
+            if not _is_int(cols) or cols < 1 \
+                    or rows is None and "id_set" not in payload:
+                raise err.MalformedMessage(
+                    "matrix needs ids or id_set, and cols >= 1")
+            if arr.size % cols or rows not in (None, arr.size // cols):
                 raise err.ShapeMismatch(f"{arr.size} floats, {rows} x {cols}")
-            arr = arr.reshape(rows, cols)
+            arr = arr.reshape(-1, cols)
         elif name == "values" and rows is not None and arr.size != rows:
             raise err.ShapeMismatch(f"{rows} ids but {arr.size} values")
         payload[name] = arr
@@ -299,6 +348,9 @@ class ModuleResponder:
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
         self._nn: dict[str, "_NnTaskService"] = {}
+        # (task, digest) -> (ids, read-only rows), least recently used first
+        self._id_sets: OrderedDict = OrderedDict()
+        self._id_set_size = 0
 
     @property
     def module_id(self) -> str:
@@ -349,13 +401,36 @@ class ModuleResponder:
                         sender=self.module_id, receiver=env.sender,
                         payload=payload)
 
-    def _rows(self, ids) -> np.ndarray:
-        """The module's feature rows for ``ids``; MissingTestRows if one is
-        absent."""
+    def _id_rows(self, env: Envelope) -> tuple[list, np.ndarray, dict]:
+        """The request's ids, the module's read-only rows for them and the
+        id field its reply echoes. A full ``ids`` list is cached with its
+        rows under (task, its digest), evicting least recently used sets
+        past ID_SET_CAP ids; an ``id_set`` must name a cached list
+        (UnknownIdSet). An absent row is MissingTestRows."""
+        p = env.payload
+        if ("ids" in p) == ("id_set" in p):
+            raise err.MalformedMessage(f"{env.kind} needs ids or id_set")
+        echo = {"ids": p["ids"]} if "ids" in p else {"id_set": p["id_set"]}
+        key = (env.task, echo.get("id_set") or id_digest(p["ids"]))
+        with self._guard:
+            if key in self._id_sets:
+                self._id_sets.move_to_end(key)
+                return (*self._id_sets[key], echo)
+        if "ids" not in p:
+            raise err.UnknownIdSet(
+                f"task {env.task!r} has no id set {key[1]}")
         try:
-            return align(self.module.partition, ids)
+            rows = align(self.module.partition, p["ids"])
         except err.MissingId as exc:
             raise err.MissingTestRows(str(exc)) from None
+        rows.flags.writeable = False
+        with self._guard:
+            self._id_sets[key] = (p["ids"], rows)
+            self._id_set_size += len(p["ids"])
+            while self._id_set_size > ID_SET_CAP and len(self._id_sets) > 1:
+                old, _ = self._id_sets.popitem(last=False)[1]
+                self._id_set_size -= len(old)
+        return p["ids"], rows, echo
 
     def _fit(self, env: Envelope) -> Envelope:
         from .protocol import assist_fit
@@ -363,25 +438,22 @@ class ModuleResponder:
             raise err.MalformedMessage("fit round must be >= 1")
         if self.policy is not None and not self.policy(env):
             return self._reply(env, "REFUSE", {"reason": "policy"})
-        ids = env.payload["ids"]
+        ids, X, echo = self._id_rows(env)
         residual = assist_fit(self.module, env.task, env.round, ids,
-                              env.payload["values"])
-        return self._reply(env, "FIT_RESPONSE",
-                           {"ids": ids, "values": residual})
+                              env.payload["values"], X)
+        return self._reply(env, "FIT_RESPONSE", {**echo, "values": residual})
 
     def _predict(self, env: Envelope) -> Envelope:
         from .learners import predict
-        ids = env.payload["ids"]
         rounds = env.payload["rounds"]
         if len(set(rounds)) != len(rounds):
             raise err.MalformedMessage("PREDICT_REQUEST repeats a round")
-        X = self._rows(ids)
+        ids, X, echo = self._id_rows(env)
         total = np.zeros(len(ids))
         for r in rounds:
             model = self.module.stored_model(env.task, r)
             total += predict(model, X)
-        return self._reply(env, "PREDICT_RESPONSE",
-                           {"ids": ids, "values": total})
+        return self._reply(env, "PREDICT_RESPONSE", {**echo, "values": total})
 
     # -- split-network partner duties ------------------------------------
 
@@ -416,16 +488,15 @@ class ModuleResponder:
 
     def _partial(self, env: Envelope) -> Envelope:
         svc = self._service(env.task)
-        ids = env.payload["ids"]
-        matrix = self._rows(ids) @ svc.weights_at(env.round)
+        _, X, echo = self._id_rows(env)
         return self._reply(env, "PARTIAL_PREACT",
-                           {"ids": ids, "matrix": matrix})
+                           {**echo, "matrix": X @ svc.weights_at(env.round)})
 
     def _wtilde(self, env: Envelope) -> Envelope:
         from .nn_protocol import NetOptConfig, SharedWeights, bob_update_round
         svc = self._service(env.task)
         p = env.payload
-        for name in ("ids", "matrix", "rate", "batch", "epochs"):
+        for name in ("matrix", "rate", "batch", "epochs"):
             if name not in p:
                 raise err.MalformedMessage(f"WTILDE_TRANSFER missing {name!r}")
         try:
@@ -438,11 +509,11 @@ class ModuleResponder:
         width = weights.shape[1]
         if env.round % 2:
             raise err.MalformedMessage(f"round {env.round} is Alice's")
+        ids, X, _ = self._id_rows(env)
         if (p["matrix"].shape, p["b_hidden"].shape, p["w_out"].shape) \
-                != ((len(p["ids"]), width), (width,), (width,)):
+                != ((len(ids), width), (width,), (width,)):
             raise err.ShapeMismatch(f"shapes do not fit hidden width {width}")
-        X = self._rows(p["ids"])
-        y = svc.labels.lookup(p["ids"])
+        y = svc.labels.lookup(ids)
         shared = SharedWeights(b_hidden=p["b_hidden"], w_out=p["w_out"],
                                b_out=p["b_out"])
         w_new, shared_new = bob_update_round(weights, env.round, X,

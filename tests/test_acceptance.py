@@ -26,8 +26,9 @@ from assistlearn.metrics import rmse
 from assistlearn.nn_protocol import NnConfig, nn_predict, run_nn_learning
 from assistlearn.protocol import (ProtocolConfig, predict_stage,
                                   run_learning_stage)
-from assistlearn.transport import (Envelope, decode, local_endpoint,
-                                   serve_module, validate_payload)
+from assistlearn.transport import (Envelope, decode, id_digest,
+                                   local_endpoint, serve_module,
+                                   validate_payload)
 
 LS = LearnerSpec("least_squares")
 COEFF = (1.5, -2.0, 1.0, 0.5, -1.0, 2.0)
@@ -468,15 +469,19 @@ def _accepts(kind, payload) -> bool:
 def test_criterion_8_schema_confinement_and_fuzz(capsys):
     started = time.perf_counter()
     matrix_smuggling = 0
+    attempts = 0
     for kind in ("FIT_REQUEST", "FIT_RESPONSE", "PREDICT_REQUEST",
                  "PREDICT_RESPONSE"):
-        payloads = [
-            {"ids": ["a"], "values": [[1.0, 2.0]]},
-            {"ids": ["a"], "values": [1.0], "matrix": [[1.0]]},
-            {"ids": ["a"], "values": [1.0], "features": [[1.0]]},
-            {"ids": ["a"], "rounds": [[1]]},
-        ]
-        matrix_smuggling += sum(_accepts(kind, p) for p in payloads)
+        # each payload names its ids as a list and as a digest
+        for id_field in ({"ids": ["a"]}, {"id_set": id_digest(["a"])}):
+            payloads = [
+                {**id_field, "values": [[1.0, 2.0]]},
+                {**id_field, "values": [1.0], "matrix": [[1.0]]},
+                {**id_field, "values": [1.0], "features": [[1.0]]},
+                {**id_field, "rounds": [[1]]},
+            ]
+            attempts += len(payloads)
+            matrix_smuggling += sum(_accepts(kind, p) for p in payloads)
 
     spec = SyntheticSpec(kind="friedman1", n=20, noise_sd=1.0, seed=9)
     part, _ = generate(spec)
@@ -506,7 +511,8 @@ def test_criterion_8_schema_confinement_and_fuzz(capsys):
     seconds = time.perf_counter() - started
     ok = matrix_smuggling == 0 and survived and seconds < 60.0
     _emit(capsys, ok, "criterion 8 (schema confinement and fuzz)",
-          f"2-D payload attempts rejected: {16 - matrix_smuggling}/16, "
+          f"2-D payload attempts rejected: {attempts - matrix_smuggling}/"
+          f"{attempts}, "
           f"responder survived 1000 garbage lines: {survived}, "
           f"{seconds:.1f}s")
     assert matrix_smuggling == 0

@@ -118,17 +118,18 @@ def _split(wrap):
 
 # (bytes, messages) per kind. Wire v2 sends each float vector or matrix as
 # base64 of its float64 bytes, 10.67 bytes per float where v1's decimal text
-# took about 19; ids and scalars are unchanged.
+# took about 19. Within one stage call an id list crosses once per peer;
+# later requests and their replies carry its 64-character digest instead.
 _CHAIN_TRAFFIC = {
-    "FIT_REQUEST": (13134, 6),
-    "FIT_RESPONSE": (13140, 6),
-    "PREDICT_REQUEST": (5592, 12),
-    "PREDICT_RESPONSE": (9696, 12),
+    "FIT_REQUEST": (9182, 6),
+    "FIT_RESPONSE": (9188, 6),
+    "PREDICT_REQUEST": (3320, 12),
+    "PREDICT_RESPONSE": (7424, 12),
 }
 _SPLIT_TRAFFIC = {
     "LABELS_TRANSFER": (2339, 2),
-    "PARTIAL_PREACT": (22801, 14),
-    "WTILDE_TRANSFER": (11372, 4),
+    "PARTIAL_PREACT": (19649, 14),
+    "WTILDE_TRANSFER": (9396, 4),
 }
 
 

@@ -9,7 +9,7 @@ from assistlearn.learners import LearnerSpec, dense_init, fit_dense_net
 from assistlearn.nn_protocol import (NetOptConfig, NnConfig, NnTrainResult,
                                      SharedWeights, bob_update_round,
                                      nn_predict, run_nn_learning)
-from assistlearn.transport import local_endpoint, serve_module
+from assistlearn.transport import Envelope, local_endpoint, serve_module
 
 DENSE = LearnerSpec("dense_net", {"hidden": 8, "rate": 0.02, "batch": 16})
 
@@ -220,3 +220,29 @@ def test_tcp_training_is_bit_identical_to_in_process():
         a = nn_predict(inproc, alice, local_ep, ids)
         b = nn_predict(tcp, alice2, server.endpoint(), ids)
         assert np.array_equal(a, b)
+
+
+class _LongerShared:
+    """Bob's endpoint, but each WTILDE_TRANSFER reply gets one more hidden
+    bias and output weight."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.module_id = inner.module_id
+
+    def request(self, env, timeout=30.0):
+        reply = self._inner.request(env, timeout=timeout)
+        if reply.kind != "WTILDE_TRANSFER":
+            return reply
+        p = reply.payload
+        return Envelope(kind=reply.kind, task=reply.task, round=reply.round,
+                        sender=reply.sender, receiver=reply.receiver,
+                        payload={**p, "b_hidden": np.append(p["b_hidden"], 0.0),
+                                 "w_out": np.append(p["w_out"], 0.0)})
+
+
+def test_a_wtilde_reply_of_another_width_is_a_shape_mismatch():
+    alice, bob, labels = _two_party(n=60)
+    ep = _LongerShared(local_endpoint(bob))
+    with pytest.raises(err.ShapeMismatch, match="hidden width 4"):
+        run_nn_learning(alice, ep, labels, _config(hidden=4, max_rounds=2))

@@ -15,7 +15,7 @@ from assistlearn.protocol import (BaselineMetrics, ProtocolConfig,
                                   stop_check, stopped_round)
 from assistlearn.nn_protocol import _fetch_partial
 from assistlearn.protocol import _fit_round_trip, _predict_round_trip
-from assistlearn.transport import Envelope, local_endpoint
+from assistlearn.transport import Envelope, id_digest, local_endpoint
 
 LS = LearnerSpec("least_squares")
 BETA = (1.0, -2.0, 0.5, 3.0, -1.5, 2.0)
@@ -396,19 +396,21 @@ class _CannedEndpoint:
     def request(self, env, timeout=30.0):
         return Envelope(kind=self.kind, task=env.task, round=env.round,
                         sender="stub", receiver=env.sender,
-                        payload=self.payload(env.payload["ids"]))
+                        payload=self.payload(env.payload.get("ids")))
 
 
 def _fit(ep):
-    return _fit_round_trip(ep, "alice", "t", 1, ["a", "b"], [1.0, 2.0], 5.0)
+    return _fit_round_trip(ep, {}, "alice", "t", 1, ["a", "b"],
+                           [1.0, 2.0], 5.0)
 
 
 def _predict(ep):
-    return _predict_round_trip(ep, "alice", "t", [1], ["a", "b"], 5.0)
+    return _predict_round_trip(ep, {}, "alice", "t", [1], ["a", "b"],
+                               5.0)
 
 
 def _partial(ep):
-    return _fetch_partial(ep, "alice", "t", 1, ["a", "b"], 1, 5.0)
+    return _fetch_partial(ep, {}, "alice", "t", 1, ["a", "b"], 1, 5.0)
 
 
 @pytest.mark.parametrize("call, kind, payload, error", [
@@ -442,5 +444,64 @@ def test_partial_reply_needs_hidden_columns():
                          lambda ids: {"ids": ids, "matrix": np.zeros((2, 2))})
     with pytest.raises(err.ShapeMismatch):
         _partial(ep)  # one hidden column expected
-    assert _fetch_partial(ep, "alice", "t", 1, ["a", "b"], 2, 5.0).shape \
+    assert _fetch_partial(ep, {}, "alice", "t", 1, ["a", "b"], 2,
+                          5.0).shape \
         == (2, 2)
+
+
+@pytest.mark.parametrize("echo", [
+    {"id_set": id_digest(["b", "a"])},      # another list's digest
+    {"ids": ["a", "b"]},                    # the list, not its digest
+], ids=["other-id-set", "full-ids"])
+def test_a_reply_must_echo_the_id_set_it_was_sent(echo):
+    known = {("a", "b"): [None, {"stub": True}]}  # the stub holds the list
+    ep = _CannedEndpoint("PREDICT_RESPONSE",
+                         lambda ids: {**echo, "values": [0.5, -1.0]})
+    with pytest.raises(err.ShapeMismatch):
+        _predict_round_trip(ep, known, "alice", "t", [1], ["a", "b"], 5.0)
+    ep = _CannedEndpoint("PREDICT_RESPONSE", lambda ids: {
+        "id_set": id_digest(["a", "b"]), "values": [0.5, -1.0]})
+    assert _predict_round_trip(ep, known, "alice", "t", [1], ["a", "b"],
+                               5.0).tolist() == [0.5, -1.0]
+
+
+class _FormCount:
+    """Counts each request's id form per (receiver, kind)."""
+
+    def __init__(self, inner, counts):
+        self._inner, self._counts = inner, counts
+
+    @property
+    def module_id(self):
+        return self._inner.module_id
+
+    def request(self, env, timeout=30.0):
+        form = "ids" if "ids" in env.payload else "id_set"
+        key = (env.receiver, env.kind, form)
+        self._counts[key] = self._counts.get(key, 0) + 1
+        return self._inner.request(env, timeout=timeout)
+
+
+def test_each_stage_sends_an_id_list_in_full_once_per_peer():
+    full, parts, labels = _linear_setup(n=120)
+    alice, eps, _ = _chain(parts)
+    counts = {}
+    eps = [_FormCount(ep, counts) for ep in eps]
+    rounds = 3
+    cfg = ProtocolConfig(max_rounds=rounds, patience=rounds, seed=3)
+    task = run_learning_stage(alice, eps, labels, cfg, task_id="t")
+    learn = dict(counts)
+    counts.clear()
+    test_ids = full.ids[:30]
+    curves = per_round_predictions(task, alice, eps, test_ids)
+    for peer in ("bright", "carol"):
+        for kind in ("FIT_REQUEST", "PREDICT_REQUEST"):
+            assert learn[(peer, kind, "ids")] == 1
+            assert learn[(peer, kind, "id_set")] == rounds - 1
+        assert {k: n for k, n in counts.items() if k[0] == peer} == {
+            (peer, "PREDICT_REQUEST", "ids"): 1,
+            (peer, "PREDICT_REQUEST", "id_set"): rounds - 1}
+    # a new stage call sends the lists in full again, with the same bits
+    again = per_round_predictions(task, alice, eps, test_ids)
+    assert again.tobytes() == curves.tobytes()
+    assert counts[("bright", "PREDICT_REQUEST", "ids")] == 2

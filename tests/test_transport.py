@@ -1,9 +1,11 @@
 import base64
 import enum
+import hashlib
 import json
 import logging
 import math
 import socket
+import sys
 import threading
 import time
 
@@ -14,6 +16,7 @@ from assistlearn import errors as err
 from assistlearn import transport
 from assistlearn.core import FeaturePartition, LocalModule
 from assistlearn.learners import LearnerSpec, predict
+from assistlearn.protocol import _fit_round_trip, _predict_round_trip
 from assistlearn.transport import (Envelope, InProcEndpoint, ModuleResponder,
                                    TcpModuleServer, decode, encode,
                                    local_endpoint, serve_module,
@@ -619,6 +622,308 @@ def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
 def test_inproc_endpoint_reports_module_id():
     module = _module(module_id="peer-9")
     assert InProcEndpoint(ModuleResponder(module)).module_id == "peer-9"
+
+
+# ---------------------------------------------------------------------------
+# id sets and envelope equality
+# ---------------------------------------------------------------------------
+
+_AB = transport.id_digest(["a", "b"])
+
+
+def _kind_payloads(id_field):
+    """One valid payload per kind; the id-bearing ones carry ``id_field``."""
+    two = np.array([0.5, -1.25])
+    return {
+        "FIT_REQUEST": {**id_field, "values": two},
+        "FIT_RESPONSE": {**id_field, "values": two},
+        "PREDICT_REQUEST": {**id_field, "rounds": [1, 3]},
+        "PREDICT_RESPONSE": {**id_field, "values": two},
+        "PARTIAL_PREACT": {**id_field,
+                           "matrix": np.arange(6.0).reshape(2, 3)},
+        "WTILDE_TRANSFER": {**id_field, "matrix": np.ones((2, 3)),
+                            "b_hidden": np.zeros(3), "w_out": np.full(3, 0.5),
+                            "b_out": 0.25, "rate": 0.01, "batch": 2,
+                            "epochs": 1},
+        "LABELS_TRANSFER": {"ids": ["a", "b"], "values": two, "seed": 1,
+                            "hidden": 3, "peer_cols": 2},
+        "REFUSE": {"reason": "policy"},
+        "ERROR": {"error": "UnknownIdSet", "message": "gone"},
+    }
+
+
+def _wire(payload):
+    """A payload as a v2 line carries it: frames as base64, with cols."""
+    out = {}
+    for name, value in payload.items():
+        if isinstance(value, np.ndarray):
+            if value.ndim == 2:
+                out["cols"] = value.shape[1]
+            value = _b64(value.ravel())
+        out[name] = value
+    return out
+
+
+def test_id_digest_is_sha256_of_the_compact_json_list():
+    ids = ["a", "b\u00e9", 'q"', "\ud800"]
+    text = json.dumps(ids, separators=(",", ":"))
+    assert transport.id_digest(ids) == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
+    assert transport.id_digest(tuple(ids)) == transport.id_digest(ids)
+    # the JSON text is injective where a plain join is not
+    assert transport.id_digest(["ab", "c"]) != transport.id_digest(["a", "bc"])
+    assert transport.id_digest(['a","b']) != transport.id_digest(["a", "b"])
+
+
+@pytest.mark.parametrize("form", ["ids", "id_set"])
+@pytest.mark.parametrize("kind", sorted(transport.KINDS))
+def test_every_kind_round_trips_to_an_equal_envelope(kind, form):
+    id_field = {"ids": ["a", "b"]} if form == "ids" else {"id_set": _AB}
+    env = Envelope(kind=kind, task="t", round=2, sender="a", receiver="b",
+                   payload=_kind_payloads(id_field)[kind])
+    back = decode(encode(env))
+    assert back == env and not back != env
+    assert back != Envelope(kind=kind, task="t", round=3, sender="a",
+                            receiver="b", payload=env.payload)
+    assert env != encode(env)
+
+
+def test_envelopes_compare_float_fields_by_value():
+    def fit(values, **ids):
+        return Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                        receiver="b", payload={**ids, "values": values})
+    base = fit([1.0, 0.0], ids=["a", "b"])
+    assert base == fit(np.array([1, -0.0]), ids=["a", "b"])
+    assert base != fit([1.0, 0.5], ids=["a", "b"])
+    assert base != fit([1.0, 0.0], ids=["b", "a"])
+    assert base != fit([1.0, 0.0], id_set=_AB)
+    partial = _kind_payloads({"id_set": _AB})["PARTIAL_PREACT"]
+    flat = {**partial, "matrix": partial["matrix"].reshape(3, 2)}
+    assert Envelope(kind="PARTIAL_PREACT", task="t", round=1, sender="a",
+                    receiver="b", payload=partial) != Envelope(
+        kind="PARTIAL_PREACT", task="t", round=1, sender="a", receiver="b",
+        payload=flat)
+
+
+@pytest.mark.parametrize("kind", ["FIT_REQUEST", "FIT_RESPONSE",
+                                  "PREDICT_REQUEST", "PREDICT_RESPONSE",
+                                  "PARTIAL_PREACT", "WTILDE_TRANSFER"])
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_ids_and_id_set_exclude_each_other(kind, both):
+    id_field = {"ids": ["a", "b"], "id_set": _AB} if both else {}
+    payload = _kind_payloads(id_field)[kind]
+    if kind == "WTILDE_TRANSFER" and not both:
+        # the reply form carries no ids; as a request the responder refuses
+        responder = ModuleResponder(_module())
+        setup = {**_kind_payloads({})["LABELS_TRANSFER"],
+                 "ids": ["0000", "0001"]}
+        assert responder.answer(Envelope(
+            kind="LABELS_TRANSFER", task="t", round=0, sender="alice",
+            receiver="m", payload=setup)).kind == "LABELS_TRANSFER"
+        reply = responder.answer(Envelope(
+            kind=kind, task="t", round=2, sender="alice", receiver="m",
+            payload=payload))
+        assert reply.payload["error"] == "MalformedMessage"
+        assert list(responder._nn["t"].snapshots) == [0]
+        return
+    with pytest.raises(err.MalformedMessage):
+        Envelope(kind=kind, task="t", round=2, sender="a", receiver="b",
+                 payload=payload)
+    with pytest.raises(err.MalformedMessage):
+        decode(_frame_line(kind, _wire(payload), round_no=2))
+
+
+@pytest.mark.parametrize("digest", [
+    _AB[:-1], _AB + "0", _AB.upper(), "g" * 64, " " + _AB[1:],
+    _AB[:-1] + "\n", "", 7, None, ["a"]],
+    ids=["short", "long", "upper", "non-hex", "space", "newline", "empty",
+         "int", "null", "list"])
+def test_malformed_digests_are_refused(digest):
+    payload = {"id_set": digest, "rounds": [1]}
+    with pytest.raises(err.MalformedMessage):
+        Envelope(kind="PREDICT_REQUEST", task="t", round=0, sender="a",
+                 receiver="b", payload=payload)
+    with pytest.raises(err.MalformedMessage):
+        decode(_frame_line("PREDICT_REQUEST", payload))
+
+
+def test_labels_transfer_takes_no_id_set():
+    payload = _kind_payloads({})["LABELS_TRANSFER"]
+    with pytest.raises(err.MalformedMessage):
+        Envelope(kind="LABELS_TRANSFER", task="t", round=0, sender="a",
+                 receiver="b", payload={**payload, "id_set": _AB})
+
+
+def test_id_set_frames_are_checked_against_the_resolved_ids():
+    # with no id list on the line, the counts are checked once it resolves
+    line = _frame_line("PARTIAL_PREACT", {"id_set": _AB,
+                                          "matrix": _b64(np.ones(6)),
+                                          "cols": 2})
+    assert decode(line).payload["matrix"].shape == (3, 2)
+    with pytest.raises(err.ShapeMismatch):
+        decode(_frame_line("PARTIAL_PREACT", {
+            "id_set": _AB, "matrix": _b64(np.ones(5)), "cols": 2}))
+    module = _module()
+    ep = local_endpoint(module)
+    ids = list(module.partition.ids)
+    assert ep.request(_fit_env(module, ids, np.ones(20))).kind \
+        == "FIT_RESPONSE"
+    short = ep.request(Envelope(
+        kind="FIT_REQUEST", task="t", round=2, sender="alice", receiver="m",
+        payload={"id_set": transport.id_digest(ids), "values": np.ones(19)}))
+    assert short.payload["error"] == "ShapeMismatch"
+    assert ("t", 2) not in module.model_store
+
+
+def _id_endpoint(module, server):
+    return server.endpoint() if server is not None else local_endpoint(module)
+
+
+@pytest.mark.parametrize("over_tcp", [False, True], ids=["inproc", "tcp"])
+def test_unknown_id_set_is_a_typed_error_and_fit_stores_nothing(over_tcp):
+    module = _module(seed=3)
+    ids = list(module.partition.ids)
+    digest = transport.id_digest(ids)
+
+    def request(kind, task, payload, round_no=1):
+        return ep.request(Envelope(kind=kind, task=task, round=round_no,
+                                   sender="alice", receiver="m",
+                                   payload=payload))
+    server = serve_module(module) if over_tcp else None
+    try:
+        ep = _id_endpoint(module, server)
+        fit = {"id_set": digest, "values": np.ones(20)}
+        reply = request("FIT_REQUEST", "t", fit)
+        assert (reply.kind, reply.payload["error"]) == ("ERROR",
+                                                        "UnknownIdSet")
+        assert module.model_store == {}
+        # the full list makes the digest known to this task only
+        first = request("FIT_REQUEST", "t", {"ids": ids, "values": np.ones(20)})
+        assert first.kind == "FIT_RESPONSE" and first.payload["ids"] == ids
+        again = request("PREDICT_REQUEST", "t",
+                        {"id_set": digest, "rounds": [1]}, round_no=0)
+        assert again.kind == "PREDICT_RESPONSE"
+        assert again.payload["id_set"] == digest and "ids" not in again.payload
+        other = request("FIT_REQUEST", "u", fit)
+        assert other.payload["error"] == "UnknownIdSet"
+        assert list(module.model_store) == [("t", 1)]
+    finally:
+        if server is not None:
+            server.stop()
+
+
+class _FormLog:
+    """Endpoint wrapper that records each request's id form and reply."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.seen = []
+
+    @property
+    def module_id(self):
+        return self._inner.module_id
+
+    def request(self, env, timeout=30.0):
+        reply = self._inner.request(env, timeout=timeout)
+        self.seen.append(("ids" if "ids" in env.payload else "id_set",
+                          reply.payload.get("error", reply.kind)))
+        return reply
+
+
+@pytest.mark.parametrize("over_tcp", [False, True], ids=["inproc", "tcp"])
+def test_an_evicted_id_set_is_resent_once_with_the_same_bits(monkeypatch,
+                                                             over_tcp):
+    monkeypatch.setattr(transport, "ID_SET_CAP", 30)
+    module = _module(n=40, seed=4)
+    ids = module.partition.ids
+    a, b, c = ids[:10], ids[10:20], ids[20:35]
+    server = serve_module(module) if over_tcp else None
+    try:
+        ep = _FormLog(_id_endpoint(module, server))
+        responder = server.responder if over_tcp \
+            else ep._inner._responder
+        known = {}
+
+        def values(some):
+            return _predict_round_trip(ep, known, "alice", "t", [1], some,
+                                       5.0)
+        _fit_round_trip(ep, known, "alice", "t", 1, a, np.arange(10.0), 5.0)
+        first_b = values(b)
+        values(a)              # a is now the more recently used
+        values(c)              # 35 ids: evicts b, the least recently used
+        values(a)
+        resent_b = values(b)   # dropped: sent once more in full
+        assert ep.seen == [("ids", "FIT_RESPONSE"),
+                           ("ids", "PREDICT_RESPONSE"),
+                           ("id_set", "PREDICT_RESPONSE"),
+                           ("ids", "PREDICT_RESPONSE"),
+                           ("id_set", "PREDICT_RESPONSE"),
+                           ("id_set", "UnknownIdSet"),
+                           ("ids", "PREDICT_RESPONSE")]
+        expected = predict(module.stored_model("t", 1),
+                           module.partition.features[10:20])
+        assert _bits(first_b) == _bits(resent_b) == _bits(expected)
+        # b's return evicted c; the cache holds at most the cap
+        assert [k[1] for k in responder._id_sets] == [
+            transport.id_digest(a), transport.id_digest(b)]
+        # the peer dropped b once, so b goes in full for the rest of the stage
+        values(b)
+        assert ep.seen[-1] == ("ids", "PREDICT_RESPONSE")
+        # a list longer than the cap is kept alone
+        values(ids)
+        values(ids)
+        assert ep.seen[-2:] == [("ids", "PREDICT_RESPONSE"),
+                                ("id_set", "PREDICT_RESPONSE")]
+        assert responder._id_set_size == 40 and len(responder._id_sets) == 1
+    finally:
+        if server is not None:
+            server.stop()
+
+
+def test_concurrent_tasks_keep_the_id_set_cache_consistent(monkeypatch):
+    # more threads than cores, each its own task, over a cache small enough
+    # to evict all the time; a lost update would break the size invariant
+    monkeypatch.setattr(transport, "ID_SET_CAP", 50)
+    module = _module(n=40, seed=6)
+    responder = ModuleResponder(module)
+    ep = InProcEndpoint(responder)
+    ids = module.partition.ids
+    failures = []
+
+    def worker(w):
+        try:
+            known = {}
+            task = f"task-{w}"
+            _fit_round_trip(ep, known, "alice", task, 1, ids,
+                            np.random.default_rng(w).standard_normal(40), 5.0)
+            model = module.stored_model(task, 1)
+            for step in range(30):
+                lo = (w + 7 * step) % 20
+                got = _predict_round_trip(ep, known, "alice", task, [1],
+                                          ids[lo:lo + 12 + step % 9], 5.0)
+                want = predict(model, module.partition.features[
+                    lo:lo + 12 + step % 9])
+                if _bits(got) != _bits(want):
+                    failures.append((w, step))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append((w, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(w,))
+                   for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    held = [len(kept) for kept, _ in responder._id_sets.values()]
+    assert responder._id_set_size == sum(held)
+    assert sum(held) <= 50 or len(held) == 1
 
 
 # ---------------------------------------------------------------------------
