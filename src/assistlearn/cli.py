@@ -67,6 +67,8 @@ def _cmd_serve(args) -> int:
         port = int(port_text)
     except ValueError:
         raise ValueError(f"bad port {port_text!r}") from None
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port {port} outside 0-65535")
     partition = load_csv(args.partition, args.id_column)
     module = LocalModule(module_id=args.module_id, partition=partition,
                          learner=LearnerSpec.from_string(args.learner))

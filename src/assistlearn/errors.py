@@ -62,10 +62,6 @@ class CollationFailure(AssistError):
     """The orchestrator could not assemble a usable training id set."""
 
 
-class AssistantRefused(AssistError):
-    """A module declined a fit request."""
-
-
 class StorageConflict(AssistError):
     """A (task, round) model slot was written twice."""
 

@@ -93,6 +93,9 @@ class ExperimentConfig:
                 raise ValueError("split_network takes exactly two groups")
             if self.learners[0].kind != "dense_net":
                 raise ValueError("split_network needs a dense_net learner")
+            if self.learners[1] != self.learners[0]:
+                raise ValueError("split_network trains one net: both groups "
+                                 "need the same learner spec")
         for b in self.baselines:
             if b not in BASELINES:
                 raise ValueError(f"unknown baseline {b!r}")
@@ -351,7 +354,7 @@ class _Endpoints:
 # ---------------------------------------------------------------------------
 
 def _replication_record(config, rep, train_ids, test_ids, rounds,
-                        curve_min_round, refusals) -> dict:
+                        curve_min_round) -> dict:
     """Apply the stopping rule to the traced curve; score the chosen round."""
     history = [row["validation_rmse"] for row in rounds]
     stopped = stopped_round(history, config.patience, config.tol_rel)
@@ -365,7 +368,6 @@ def _replication_record(config, rep, train_ids, test_ids, rounds,
         "chosen_round": chosen,
         "stopped_round": stopped,
         "curve_min_round": curve_min_round,
-        "refusals": refusals,
         "final": {"test_rmse": at["test_rmse"], "test_mad": at["test_mad"],
                   "train_rmse": at["train_rmse"]},
     }
@@ -398,8 +400,7 @@ def _chain_replication(config, rep, full, labels, train_ids, test_ids):
                        "test_mad": mad(y_test, row),
                        "seconds": rec.seconds})
     return _replication_record(config, rep, train_ids, test_ids, rounds,
-                               task.best_round,
-                               [list(r) for r in task.refusals]), parts
+                               task.best_round), parts
 
 
 def _nn_replication(config, rep, full, labels, train_ids, test_ids):
@@ -432,7 +433,7 @@ def _nn_replication(config, rep, full, labels, train_ids, test_ids):
                            "test_mad": mad(y_test, pred),
                            "seconds": result.round_seconds[k - 1]})
     return _replication_record(config, rep, train_ids, test_ids, rounds,
-                               result.best_round, []), parts
+                               result.best_round), parts
 
 
 def _baselines(config, rep, parts, labels, train_ids, test_ids) -> dict:

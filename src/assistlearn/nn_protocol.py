@@ -250,18 +250,15 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
 
 
 def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
-               ids: Sequence[str],
-               alice_features: Optional[np.ndarray] = None,
-               upto: Optional[int] = None,
+               ids: Sequence[str], upto: Optional[int] = None,
                timeout: float = 30.0) -> np.ndarray:
     """Evaluate the trained split network on new rows.
 
     ``upto`` picks any executed round (default: the chosen best round). Bob
     is queried for his partial at that round; if he is unreachable, the
-    transport error propagates - no partial predictions. ``alice_features``
-    (one row per id) overrides alice's own lookup.
+    transport error propagates - no partial predictions.
     """
-    X = _alice_rows(alice, ids, alice_features)
+    X = _alice_rows(alice, ids)
     round_no = result.best_round if upto is None else upto
     try:
         w_alice, shared = result.alice_rounds[round_no]

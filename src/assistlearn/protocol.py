@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align, collate, derive_seed
+from .core import LocalModule, TaskLabels, align, derive_seed
 from .data import SplitSpec, split as id_split
 from .learners import LearnerSpec, fit_learner, predict
 from .metrics import mad, rms, rmse
@@ -42,11 +42,10 @@ log = logging.getLogger("assistlearn")
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one round did: who fit, residual RMSE after each half-step,
+    """What one round did: residual RMSE after each module's half-step,
     the validation score, and the training residual at round end."""
 
     round: int
-    participants: tuple[str, ...]
     halfstep_rmse: tuple[float, ...]
     validation_rmse: float
     residual_after: np.ndarray
@@ -63,16 +62,10 @@ class TrainedTask:
     holdout_ids: tuple[str, ...]
     records: tuple[RoundRecord, ...]
     best_round: int
-    refusals: tuple[tuple[int, str], ...] = ()
 
     @property
     def validation_history(self) -> list[float]:
         return [r.validation_rmse for r in self.records]
-
-    def rounds_for(self, module_id: str, upto: Optional[int] = None) -> list[int]:
-        upto = self.best_round if upto is None else upto
-        return [r.round for r in self.records[:upto]
-                if module_id in r.participants]
 
 
 @dataclass(frozen=True)
@@ -185,11 +178,9 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
 
     ``assistants`` are endpoints (in-process or TCP). The working id set is
     the sorted intersection of the labels and alice's partition; assistants
-    must cover it, and a module replying REFUSE is dropped from the chain
-    for the remaining rounds (the event is recorded).
+    must cover it.
     """
     task_id = task_id if task_id is not None else f"task-{config.seed}"
-    chain = list(assistants)
     train_ids, hold_ids = _working_sets(alice, labels,
                                         config.holdout_fraction, config.seed)
     y_train = labels.lookup(train_ids)
@@ -198,17 +189,15 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
         y_hold = labels.lookup(hold_ids)
         X_hold = align(alice.partition, hold_ids)
         cum_hold = np.zeros(len(hold_ids))
-    module_ids = [alice.module_id] + [ep.module_id for ep in chain]
+    module_ids = [alice.module_id] + [ep.module_id for ep in assistants]
 
     known: dict = {}
     residual = y_train.copy()
     records = []
     history: list[float] = []
-    refusals: list[tuple[int, str]] = []
     for round_no in range(1, config.max_rounds + 1):
         started = time.perf_counter()
         halfsteps = []
-        participants = []
         seed = derive_seed(alice.learner.params.get("seed", 0),
                            task_id, alice.module_id, round_no)
         model, fitted = fit_learner(alice.learner, X_train, residual,
@@ -216,22 +205,13 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
         alice.record_model(task_id, round_no, model)
         residual = residual - fitted
         halfsteps.append(rms(residual))
-        participants.append(alice.module_id)
         if hold_ids:
             cum_hold += predict(model, X_hold)
-        for ep in list(chain):
-            try:
-                residual = _fit_round_trip(ep, known, alice.module_id,
-                                           task_id, round_no, train_ids,
-                                           residual, config.timeout)
-            except err.AssistantRefused:
-                chain.remove(ep)
-                refusals.append((round_no, ep.module_id))
-                log.info("module %s refused task %s at round %d; dropped",
-                         ep.module_id, task_id, round_no)
-                continue
+        for ep in assistants:
+            residual = _fit_round_trip(ep, known, alice.module_id, task_id,
+                                       round_no, train_ids, residual,
+                                       config.timeout)
             halfsteps.append(rms(residual))
-            participants.append(ep.module_id)
             if hold_ids:
                 cum_hold += _predict_round_trip(ep, known, alice.module_id,
                                                 task_id, [round_no], hold_ids,
@@ -242,7 +222,6 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
             val = rms(residual)
         history.append(val)
         records.append(RoundRecord(round=round_no,
-                                   participants=tuple(participants),
                                    halfstep_rmse=tuple(halfsteps),
                                    validation_rmse=val,
                                    residual_after=residual.copy(),
@@ -254,8 +233,7 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
                        train_ids=tuple(train_ids),
                        holdout_ids=tuple(hold_ids),
                        records=tuple(records),
-                       best_round=argmin_round(history),
-                       refusals=tuple(refusals))
+                       best_round=argmin_round(history))
 
 
 def _working_sets(alice, labels, holdout_fraction: float, seed: int):
@@ -280,22 +258,13 @@ def _working_sets(alice, labels, holdout_fraction: float, seed: int):
 # prediction stage
 # ---------------------------------------------------------------------------
 
-def _alice_rows(alice: LocalModule, ids: Sequence[str],
-               alice_features: Optional[np.ndarray]) -> np.ndarray:
-    """Alice's feature rows for ``ids``: her partition, or the override.
-
-    An id absent from her partition raises MissingTestRows; an override
-    must have one row per id (ShapeMismatch otherwise).
-    """
-    if alice_features is None:
-        try:
-            return align(alice.partition, ids)
-        except err.MissingId as exc:
-            raise err.MissingTestRows(str(exc)) from None
-    X = np.asarray(alice_features, dtype=np.float64)
-    if X.shape[0] != len(ids):
-        raise err.ShapeMismatch(f"{X.shape[0]} feature rows for {len(ids)} ids")
-    return X
+def _alice_rows(alice: LocalModule, ids: Sequence[str]) -> np.ndarray:
+    """Alice's feature rows for ``ids``; an id absent from her partition
+    raises MissingTestRows."""
+    try:
+        return align(alice.partition, ids)
+    except err.MissingId as exc:
+        raise err.MissingTestRows(str(exc)) from None
 
 
 def _endpoint_for(by_id: dict, module_id: str):
@@ -307,29 +276,24 @@ def _endpoint_for(by_id: dict, module_id: str):
 
 
 def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
-                  ids: Sequence[str],
-                  alice_features: Optional[np.ndarray] = None,
-                  upto: Optional[int] = None,
+                  ids: Sequence[str], upto: Optional[int] = None,
                   timeout: float = 30.0) -> np.ndarray:
     """Sum of every recorded chain model's prediction over rounds 1..K.
 
-    ``ids`` must be resolvable in each participating module's partition;
-    ``alice_features`` (one row per id) overrides alice's own lookup for
-    rows she never stored. ``upto`` overrides K (the recorded best round).
+    ``ids`` must be resolvable in each module's partition. ``upto``
+    overrides K (the recorded best round).
     """
     upto = task.best_round if upto is None else upto
     if upto < 1 or upto > len(task.records):
         raise err.UnknownRound(f"round {upto} outside recorded range")
-    X = _alice_rows(alice, ids, alice_features)
+    X = _alice_rows(alice, ids)
+    rounds = range(1, upto + 1)
     out = np.zeros(len(ids))
-    for k in task.rounds_for(alice.module_id, upto):
+    for k in rounds:
         out += predict(alice.stored_model(task.task_id, k), X)
     by_id = {ep.module_id: ep for ep in assistants}
     known: dict = {}
     for module_id in task.module_ids[1:]:
-        rounds = task.rounds_for(module_id, upto)
-        if not rounds:
-            continue
         out += _predict_round_trip(_endpoint_for(by_id, module_id), known,
                                    alice.module_id, task.task_id, rounds, ids,
                                    timeout)
@@ -337,27 +301,23 @@ def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
 
 
 def per_round_predictions(task: TrainedTask, alice, assistants, ids,
-                          alice_features: Optional[np.ndarray] = None,
                           timeout: float = 30.0) -> np.ndarray:
     """Cumulative prediction after each round, stacked (rounds, len(ids)).
 
     Row k-1 equals predict_stage with upto=k; computed incrementally so each
     model is evaluated once.
     """
-    X = _alice_rows(alice, ids, alice_features)
+    X = _alice_rows(alice, ids)
     by_id = {ep.module_id: ep for ep in assistants}
     known: dict = {}
     cum = np.zeros(len(ids))
     rows = []
     for rec in task.records:
-        for module_id in rec.participants:
-            if module_id == alice.module_id:
-                cum += predict(alice.stored_model(task.task_id, rec.round), X)
-            else:
-                cum += _predict_round_trip(_endpoint_for(by_id, module_id),
-                                           known, alice.module_id,
-                                           task.task_id, [rec.round], ids,
-                                           timeout)
+        cum += predict(alice.stored_model(task.task_id, rec.round), X)
+        for module_id in task.module_ids[1:]:
+            cum += _predict_round_trip(_endpoint_for(by_id, module_id), known,
+                                       alice.module_id, task.task_id,
+                                       [rec.round], ids, timeout)
         rows.append(cum.copy())
     return np.vstack(rows)
 
@@ -366,24 +326,15 @@ def per_round_predictions(task: TrainedTask, alice, assistants, ids,
 # baselines
 # ---------------------------------------------------------------------------
 
-def _resolve_split(partitions, labels, splitspec):
-    """(train, test) ids: a given pair as is, or a SplitSpec applied to the
-    ids that every partition and the labels share."""
-    ids = collate(partitions) if len(partitions) > 1 else partitions[0].ids
-    if isinstance(splitspec, SplitSpec):
-        return id_split(sorted(set(ids) & set(labels.ids)), splitspec)
-    train_ids, test_ids = splitspec
-    return tuple(train_ids), tuple(test_ids)
-
-
 def _pooled(partitions, ids):
     return np.column_stack([align(p, ids) for p in partitions])
 
 
 def oracle_baseline(partitions, labels: TaskLabels, learner_spec: LearnerSpec,
-                    splitspec, seed: int = 0) -> BaselineMetrics:
-    """Centralized ceiling: one learner on the column-concatenated pool."""
-    train_ids, test_ids = _resolve_split(partitions, labels, splitspec)
+                    split, seed: int = 0) -> BaselineMetrics:
+    """Centralized ceiling: one learner on the column-concatenated pool,
+    trained and scored on ``split``, a ``(train_ids, test_ids)`` pair."""
+    train_ids, test_ids = split
     X_train = _pooled(partitions, train_ids)
     X_test = _pooled(partitions, test_ids)
     y_train = labels.lookup(train_ids)
@@ -394,13 +345,14 @@ def oracle_baseline(partitions, labels: TaskLabels, learner_spec: LearnerSpec,
 
 
 def stacking_baseline(partitions, labels: TaskLabels, base_specs,
-                      meta_spec: LearnerSpec, splitspec, folds: int = 5,
+                      meta_spec: LearnerSpec, split, folds: int = 5,
                       seed: int = 0) -> BaselineMetrics:
     """Out-of-fold stacking over the partitions.
 
     Each partition fits its base learner straight to the labels; their
     K-fold out-of-fold predictions become meta-features for the meta learner.
-    ``base_specs`` is one spec (shared) or one spec per partition.
+    ``base_specs`` is one spec (shared) or one spec per partition, and
+    ``split`` a ``(train_ids, test_ids)`` pair.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -410,7 +362,7 @@ def stacking_baseline(partitions, labels: TaskLabels, base_specs,
     if len(base_specs) != len(partitions) \
             or not all(isinstance(b, LearnerSpec) for b in base_specs):
         raise ValueError(f"expected one base spec or {len(partitions)}")
-    train_ids, test_ids = _resolve_split(partitions, labels, splitspec)
+    train_ids, test_ids = split
     y_train = labels.lookup(train_ids)
     y_test = labels.lookup(test_ids)
     n_train = len(train_ids)
@@ -457,14 +409,9 @@ def _roundtrip(endpoint, env: Envelope, timeout: float,
                expect: str) -> Envelope:
     """Send ``env``; return the reply if it is of kind ``expect``.
 
-    REFUSE raises AssistantRefused, ERROR re-raises the remote error and
-    any other kind is MalformedMessage.
+    ERROR re-raises the remote error and any other kind is MalformedMessage.
     """
     reply = endpoint.request(env, timeout=timeout)
-    if reply.kind == "REFUSE":
-        raise err.AssistantRefused(
-            f"module {endpoint.module_id} refused: "
-            f"{reply.payload.get('reason', '')}")
     if reply.kind == "ERROR":
         _raise_remote(reply)
     if reply.kind != expect:

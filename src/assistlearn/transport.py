@@ -47,7 +47,6 @@ import socketserver
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -165,7 +164,6 @@ _SCHEMAS: dict[str, tuple[dict, dict]] = {
         {"ids": _is_id_list, "values": _VECTOR, "seed": _is_int,
          "hidden": _is_int, "peer_cols": _is_int, "own_cols": _is_int},
     ),
-    "REFUSE": ({}, {"reason": _is_str}),
     "ERROR": ({"error": _is_str}, {"message": _is_str}),
 }
 KINDS = frozenset(_SCHEMAS)
@@ -336,15 +334,11 @@ class ModuleResponder:
 
     Handles fit/predict for the residual chain and the partner half of the
     split-network rounds. Requests for the same task are serialized with a
-    per-task lock; distinct tasks may be served concurrently. ``policy`` (if
-    given) is consulted per fit request and a False verdict turns into a
-    REFUSE reply.
+    per-task lock; distinct tasks may be served concurrently.
     """
 
-    def __init__(self, module: LocalModule,
-                 policy: Optional[Callable[[Envelope], bool]] = None):
+    def __init__(self, module: LocalModule):
         self.module = module
-        self.policy = policy
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
         self._nn: dict[str, "_NnTaskService"] = {}
@@ -436,8 +430,6 @@ class ModuleResponder:
         from .protocol import assist_fit
         if env.round < 1:
             raise err.MalformedMessage("fit round must be >= 1")
-        if self.policy is not None and not self.policy(env):
-            return self._reply(env, "REFUSE", {"reason": "policy"})
         ids, X, echo = self._id_rows(env)
         residual = assist_fit(self.module, env.task, env.round, ids,
                               env.payload["values"], X)
@@ -460,6 +452,14 @@ class ModuleResponder:
     def _labels(self, env: Envelope) -> Envelope:
         from .learners import dense_init
         p = env.payload
+        own_cols = self.module.partition.n_cols
+        known = self._nn.get(env.task)
+        if known is not None:
+            # a retry of the first setup keeps the state; any other is refused
+            if env != known.setup:
+                raise err.StorageConflict(
+                    f"task {env.task!r} already has a different setup")
+            return self._reply(env, "LABELS_TRANSFER", {"own_cols": own_cols})
         for name in ("ids", "values", "seed", "hidden", "peer_cols"):
             if name not in p:
                 raise err.MalformedMessage(f"LABELS_TRANSFER missing {name!r}")
@@ -472,11 +472,10 @@ class ModuleResponder:
                 f"LABELS_TRANSFER has {len(p['ids'])} ids but "
                 f"{len(p['values'])} values")
         labels = TaskLabels(ids=p["ids"], values=p["values"])
-        own_cols = self.module.partition.n_cols
         w_in, _, _, _ = dense_init(p["peer_cols"] + own_cols, p["hidden"],
                                    p["seed"])
         self._nn[env.task] = _NnTaskService(
-            labels=labels, seed=p["seed"],
+            setup=env, labels=labels, seed=p["seed"],
             snapshots={0: w_in[p["peer_cols"]:]})
         return self._reply(env, "LABELS_TRANSFER", {"own_cols": own_cols})
 
@@ -524,6 +523,7 @@ class ModuleResponder:
 
 @dataclass
 class _NnTaskService:
+    setup: Envelope  # the LABELS_TRANSFER request that created the state
     labels: TaskLabels
     seed: int
     snapshots: dict  # round (completed) -> own input-weight block
@@ -561,8 +561,8 @@ class InProcEndpoint:
         return self._responder.answer(envelope)
 
 
-def local_endpoint(module: LocalModule, policy=None) -> InProcEndpoint:
-    return InProcEndpoint(ModuleResponder(module, policy=policy))
+def local_endpoint(module: LocalModule) -> InProcEndpoint:
+    return InProcEndpoint(ModuleResponder(module))
 
 
 class TcpEndpoint:
@@ -630,7 +630,7 @@ class TcpModuleServer(socketserver.ThreadingTCPServer):
         self.responder = responder
         try:
             super().__init__((host, port), _LineHandler)
-        except OSError as exc:
+        except (OSError, OverflowError) as exc:  # a port past 65535 overflows
             raise err.BindFailure(f"cannot bind {host}:{port}: {exc}") from None
         self.host, self.port = self.server_address[:2]
         self._thread = threading.Thread(target=self.serve_forever,
@@ -652,8 +652,7 @@ class TcpModuleServer(socketserver.ThreadingTCPServer):
         self.stop()
 
 
-def serve_module(module: LocalModule, host: str = "127.0.0.1", port: int = 0,
-                 policy=None) -> TcpModuleServer:
+def serve_module(module: LocalModule, host: str = "127.0.0.1",
+                 port: int = 0) -> TcpModuleServer:
     """Bind and start serving a module; returns the running server."""
-    return TcpModuleServer(ModuleResponder(module, policy=policy),
-                           host=host, port=port)
+    return TcpModuleServer(ModuleResponder(module), host=host, port=port)

@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from assistlearn import cli
 from assistlearn.cli import main
 from assistlearn.data import load_csv, save_csv, SyntheticSpec, generate
 from assistlearn.transport import Envelope, TcpEndpoint, serve_module
@@ -127,6 +129,17 @@ def test_serve_rejects_a_bad_listen_string(tmp_path, capsys):
                  "--learner", "least_squares", "--listen", "nowhere"])
     assert code == 2
     assert "host:port" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_rejects_a_port_outside_the_range(port, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "serve_module",
+                        lambda *args: pytest.fail("serve_module called"))
+    code = main(["serve", "--partition", "unread.csv",
+                 "--learner", "least_squares",
+                 "--listen", f"127.0.0.1:{port}"])
+    assert code == 2
+    assert "0-65535" in capsys.readouterr().err
 
 
 def test_serve_subprocess_answers_requests(tmp_path):

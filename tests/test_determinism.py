@@ -28,23 +28,23 @@ _SPLIT = {"mode": "split_network", "groups": [["x1", "x2", "x3"], ["x4", "x5"]],
 _HASHES = {
     "least_squares": (
         {"learners": "least_squares"},
-        "5dd985f25ee3f4f2a3fbdcccee5664896939fb54ee5a444bba7522af08259c9c"),
+        "e5cbdbe07ea1c9fada72b48dbc864b03af1a9a0cabc894bee4d46b74b76a86f8"),
     "least_squares_tcp": (
         {"learners": "least_squares", "transport": "tcp"},
-        "d96f8726318dc8af7286d5c763fe70f35c78e285030b61d2870690ec56910631"),
+        "e5fb663997e917bd09c6a7e439b0c9ca5a3f6331b544db676acb0aa901446b74"),
     "trees": (
         {"learners": ["regression_tree", "least_squares",
                       "regression_tree:max_depth=2"]},
-        "e57ba58ace6326ebc8041bbb84b31426737afa642de7e06d8e8d886d8f1c9856"),
+        "a09cc1a6ae0a726009a4985af9d23100db5927599f7b0cb144a9724bb00ee0a8"),
     "boosting": (
         {"learners": "gradient_boosting:stages=15,max_depth=2"},
-        "46d99ca89f99285a66af7757450605463d6f009f5ab599a473c03f167c2253d8"),
+        "8abdd11088ee1b2d2f2da7adece2198b120e96b8ca4e6525945ea50b844f074b"),
     "split_network": (
         _SPLIT,
-        "5da938d645affb16a44cef581c4b18d12cfa09d348a5468ffa1e4f4ff091a78e"),
+        "2cba2f51ee5a88733af6560462a44ecd3d421a15d2c21aa393cbbf83ed6ad80a"),
     "split_network_tcp": (
         {**_SPLIT, "transport": "tcp"},
-        "80006b2f1e5846720ddbfae17f45c822af8f6144fce6aa019b8d477148be9c64"),
+        "fc037d9436eeb38c6511ceac18ee5ed2c00775a823cc9cf3a3896170eddd75bf"),
 }
 
 

@@ -102,6 +102,15 @@ def test_split_network_config_constraints():
             _nn_raw(groups=[["x1"], ["x2"], ["x3"]]))
     with pytest.raises(ValueError, match="dense_net"):
         ExperimentConfig.from_dict(_nn_raw(learners="least_squares"))
+    # one net: the second group's spec must be the first's
+    for second in ("regression_tree", "dense_net:hidden=8,batch=8"):
+        with pytest.raises(ValueError, match="same learner spec"):
+            ExperimentConfig.from_dict(_nn_raw(
+                learners=["dense_net:hidden=4,batch=16", second]))
+    same = ExperimentConfig.from_dict(_nn_raw(
+        learners=["dense_net:hidden=4,batch=16",
+                  {"kind": "dense_net", "params": {"batch": 16, "hidden": 4}}]))
+    assert same.learners[0] == same.learners[1]
 
 
 def test_from_json(tmp_path):

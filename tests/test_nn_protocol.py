@@ -166,20 +166,6 @@ def test_nn_predict_round_selection_and_errors():
         nn_predict(out, alice, ep, ("missing-id",))
 
 
-def test_alice_features_override_in_nn_predict():
-    alice, bob, labels = _two_party(seed=29)
-    cfg = _config(max_rounds=2)
-    ep = local_endpoint(bob)
-    out = run_nn_learning(alice, ep, labels, cfg, task_id="ovr")
-    ids = out.train_ids[:5]
-    X = alice.partition.features[alice.partition.rows_for(ids)]
-    direct = nn_predict(out, alice, ep, ids)
-    overridden = nn_predict(out, alice, ep, ids, alice_features=X)
-    assert np.array_equal(direct, overridden)
-    with pytest.raises(err.ShapeMismatch):
-        nn_predict(out, alice, ep, ids, alice_features=X[:1])
-
-
 def test_collation_failure_without_shared_ids():
     alice, bob, _ = _two_party(n=40)
     foreign = TaskLabels(ids=("q-1", "q-2"), values=np.array([0.0, 1.0]))

@@ -67,8 +67,8 @@ def test_encode_decode_round_trip_is_lossless():
 
 
 def test_encode_is_single_json_line():
-    env = Envelope(kind="REFUSE", task="t", round=2, sender="a",
-                   receiver="b", payload={"reason": "no"})
+    env = Envelope(kind="ERROR", task="t", round=2, sender="a",
+                   receiver="b", payload={"error": "StorageConflict"})
     raw = encode(env)
     assert raw.endswith(b"\n") and raw.count(b"\n") == 1
     body = json.loads(raw)
@@ -86,13 +86,15 @@ def test_encode_is_single_json_line():
 
 
 def test_envelope_validation():
-    ok = dict(kind="REFUSE", task="t", round=0, sender="a", receiver="b")
+    ok = dict(kind="ERROR", task="t", round=0, sender="a", receiver="b",
+              payload={"error": "StorageConflict"})
     Envelope(**ok)
     for version in (1, 3):
         with pytest.raises(err.UnsupportedVersion):
             Envelope(**ok, v=version)
-    with pytest.raises(err.MalformedMessage):
-        Envelope(**{**ok, "kind": "GOSSIP"})
+    for kind in ("GOSSIP", "REFUSE"):
+        with pytest.raises(err.MalformedMessage):
+            Envelope(**{**ok, "kind": kind})
     with pytest.raises(err.MalformedMessage):
         Envelope(**{**ok, "round": -1})
     with pytest.raises(err.MalformedMessage):
@@ -125,8 +127,8 @@ def test_payload_normalizes_numpy_and_bans_non_finite():
                      receiver="b", payload={"ids": ["i"],
                                             "values": not_numbers})
     with pytest.raises(err.MalformedMessage):
-        Envelope(kind="REFUSE", task="t", round=0, sender="a", receiver="b",
-                 payload={"reason": object()})
+        Envelope(kind="ERROR", task="t", round=0, sender="a", receiver="b",
+                 payload={"error": object()})
 
 
 def test_decode_rejects_garbage():
@@ -139,16 +141,18 @@ def test_decode_rejects_garbage():
     with pytest.raises(err.MalformedMessage):
         decode(b'{"v": 2}\n')
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v":2,"kind":"REFUSE"}\n{"second":1}\n')
-    line = encode(Envelope(kind="REFUSE", task="t", round=0, sender="a",
-                           receiver="b")).decode()
+        decode(b'{"v":2,"kind":"ERROR"}\n{"second":1}\n')
+    line = encode(Envelope(kind="ERROR", task="t", round=0, sender="a",
+                           receiver="b",
+                           payload={"error": "StorageConflict"})).decode()
     for version in ('"v":1', '"v":9'):
         with pytest.raises(err.UnsupportedVersion):
             decode(line.replace('"v":2', version))
     with pytest.raises(err.MalformedMessage):
         decode(line.replace('"v":2', '"v":"2"'))
-    with pytest.raises(err.MalformedMessage):
-        decode(line.replace("REFUSE", "GOSSIP"))
+    for kind in ("GOSSIP", "REFUSE"):
+        with pytest.raises(err.MalformedMessage):
+            decode(line.replace('"ERROR"', f'"{kind}"'))
 
 
 def _frame_line(kind, payload, round_no=1):
@@ -485,17 +489,6 @@ def test_fit_rejects_round_zero_and_double_write():
     assert short.kind == "ERROR" and short.payload["error"] == "ShapeMismatch"
 
 
-def test_policy_refusal():
-    module = _module(seed=4)
-    ep = local_endpoint(module, policy=lambda env: env.round < 2)
-    y = list(np.zeros(20))
-    assert ep.request(_fit_env(module, module.partition.ids, y, 1)).kind \
-        == "FIT_RESPONSE"
-    refuse = ep.request(_fit_env(module, module.partition.ids, y, 2))
-    assert refuse.kind == "REFUSE"
-    assert refuse.payload["reason"] == "policy"
-
-
 def test_predict_sums_requested_rounds():
     module = _module(seed=5)
     ep = local_endpoint(module)
@@ -619,6 +612,43 @@ def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
     assert list(responder._nn["t"].snapshots) == [0]  # nothing trained
 
 
+def test_a_repeated_labels_transfer_is_a_retry_or_a_conflict():
+    module = _module(seed=8)
+    responder = ModuleResponder(module)
+    ids = list(module.partition.ids[:10])
+    setup = Envelope(kind="LABELS_TRANSFER", task="t", round=0,
+                     sender="alice", receiver="m",
+                     payload={"ids": ids, "values": np.arange(10.0),
+                              "seed": 1, "hidden": 3, "peer_cols": 2})
+    ack = responder.answer(setup)
+    assert ack.kind == "LABELS_TRANSFER"
+    partial = Envelope(kind="PARTIAL_PREACT", task="t", round=2,
+                       sender="alice", receiver="m", payload={"ids": ids})
+    first = responder.answer(partial).payload["matrix"]
+    trained = responder.answer(Envelope(
+        kind="WTILDE_TRANSFER", task="t", round=2, sender="alice",
+        receiver="m", payload={"ids": ids, "matrix": np.full((10, 3), 0.1),
+                               "b_hidden": np.zeros(3),
+                               "w_out": np.full(3, 0.1), "b_out": 0.0,
+                               "rate": 0.05, "batch": 2, "epochs": 1}))
+    assert trained.kind == "WTILDE_TRANSFER"
+    before = responder.answer(partial).payload["matrix"]
+    assert not np.array_equal(before, first)  # round 2 trained Bob's block
+    # a retry of the same setup, as decoded off the wire, keeps the state
+    assert responder.answer(encode(setup)) == ack
+    assert np.array_equal(responder.answer(partial).payload["matrix"], before)
+    for changed in ({"seed": 2}, {"hidden": 4}, {"peer_cols": 1},
+                    {"values": np.arange(10.0) + 1.0},
+                    {"ids": ids[:5], "values": np.arange(5.0)}):
+        reply = responder.answer(Envelope(
+            kind="LABELS_TRANSFER", task="t", round=0, sender="alice",
+            receiver="m", payload={**setup.payload, **changed}))
+        assert reply.kind == "ERROR"
+        assert reply.payload["error"] == "StorageConflict"
+        assert np.array_equal(responder.answer(partial).payload["matrix"],
+                              before)
+
+
 def test_inproc_endpoint_reports_module_id():
     module = _module(module_id="peer-9")
     assert InProcEndpoint(ModuleResponder(module)).module_id == "peer-9"
@@ -647,7 +677,6 @@ def _kind_payloads(id_field):
                             "epochs": 1},
         "LABELS_TRANSFER": {"ids": ["a", "b"], "values": two, "seed": 1,
                             "hidden": 3, "peer_cols": 2},
-        "REFUSE": {"reason": "policy"},
         "ERROR": {"error": "UnknownIdSet", "message": "gone"},
     }
 
@@ -971,6 +1000,8 @@ def test_tcp_bind_conflict_raises():
         with pytest.raises(err.BindFailure):
             TcpModuleServer(ModuleResponder(module), host=server.host,
                             port=server.port)
+    with pytest.raises(err.BindFailure):  # overflows before any bind
+        TcpModuleServer(ModuleResponder(module), port=70000)
 
 
 def test_leaving_the_with_block_stops_the_server():
@@ -987,15 +1018,16 @@ def test_leaving_the_with_block_stops_the_server():
     assert not set(threading.enumerate()) - before
     server.stop()  # a second stop returns
     with pytest.raises(err.ConnectionRefused):
-        ep.request(Envelope(kind="REFUSE", task="t", round=0, sender="a",
-                            receiver="m"), timeout=2.0)
+        ep.request(Envelope(kind="ERROR", task="t", round=0, sender="a",
+                            receiver="m", payload={"error": "x"}),
+                   timeout=2.0)
 
 
 def test_tcp_connection_refused_maps_to_error():
     from assistlearn.transport import TcpEndpoint
     ep = TcpEndpoint("127.0.0.1", 1, "ghost")  # port 1: nothing listens
-    env = Envelope(kind="REFUSE", task="t", round=0, sender="a",
-                   receiver="ghost")
+    env = Envelope(kind="ERROR", task="t", round=0, sender="a",
+                   receiver="ghost", payload={"error": "x"})
     with pytest.raises(err.TransportError):
         ep.request(env, timeout=2.0)
 
@@ -1023,8 +1055,8 @@ def test_tcp_survives_garbage_lines():
 def test_wrong_version_over_the_wire():
     module = _module(seed=14)
     with serve_module(module) as server:
-        line = encode(Envelope(kind="REFUSE", task="t", round=0, sender="a",
-                               receiver="b")).decode()
+        line = encode(Envelope(kind="ERROR", task="t", round=0, sender="a",
+                               receiver="b", payload={"error": "x"})).decode()
         with socket.create_connection((server.host, server.port),
                                       timeout=5.0) as conn:
             reader = conn.makefile("rb")
