@@ -7,7 +7,7 @@ models. A split-network variant trains a single neural net whose input layer
 is partitioned across two parties.
 """
 
-from .core import (FeaturePartition, LocalModule, TaskLabels, collate, align,
+from .core import (FeaturePartition, LocalModule, TaskLabels, align,
                    derive_seed, vertical_split)
 from .data import (SplitSpec, SyntheticSpec, generate, gen_friedman1,
                    gen_linear, load_csv, save_csv, split)
@@ -36,7 +36,7 @@ __all__ = [
     "ProtocolConfig", "Report", "RoundRecord",
     "SharedWeights", "SplitSpec", "SyntheticSpec", "TaskLabels",
     "TcpEndpoint", "TcpModuleServer", "TrainedTask", "TransportError",
-    "align", "argmin_round", "assist_fit", "bob_update_round", "collate",
+    "align", "argmin_round", "assist_fit", "bob_update_round",
     "compare_stacking", "decode", "derive_seed", "encode", "fit_learner",
     "format_table", "gen_friedman1", "gen_linear", "generate", "load_csv",
     "local_endpoint", "mad", "nn_predict", "oracle_baseline",

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DuplicateId,
-    EmptyIntersection,
     MissingId,
     OverlappingGroups,
     UnknownColumn,
@@ -136,29 +135,11 @@ class TaskLabels:
             raise MissingId(f"no label for sample id {missing!r}") from None
 
 
-def collate(partitions: Sequence[FeaturePartition]) -> tuple[SampleId, ...]:
-    """Sample ids common to all partitions, sorted lexicographically.
-
-    This is the shared row order: ``align(part, collate(parts))`` lines up
-    the rows of every partition. Raises EmptyIntersection when no id is
-    common to all partitions.
-    """
-    if not partitions:
-        raise ValueError("collate needs at least one partition")
-    common = set(partitions[0].ids)
-    for part in partitions[1:]:
-        common &= set(part.ids)
-    if not common:
-        raise EmptyIntersection("partitions share no sample id")
-    return tuple(sorted(common))
-
-
 def align(partition: FeaturePartition, ids: Sequence[SampleId]) -> np.ndarray:
     """Feature rows of ``partition`` for ``ids``, in the order given.
 
-    ``ids`` is any sequence of sample ids, such as the tuple ``collate``
-    returns. The result is a fresh writable array; the partition stays
-    immutable.
+    ``ids`` is any sequence of sample ids. The result is a fresh writable
+    array; the partition stays immutable.
     """
     return partition.features[partition.rows_for(ids)]
 

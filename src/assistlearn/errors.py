@@ -11,12 +11,8 @@ class AssistError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# collation / data handling
+# data handling
 # ---------------------------------------------------------------------------
-
-class EmptyIntersection(AssistError):
-    """No sample id is shared by all partitions."""
-
 
 class MissingId(AssistError):
     """A requested sample id is absent from a partition."""

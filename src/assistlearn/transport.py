@@ -1,21 +1,23 @@
 """Message envelopes and transports.
 
-Wire format v2: one UTF-8 JSON object per line, with exactly the fields
-``v`` (2), ``kind``, ``task``, ``round``, ``from``, ``to`` and ``payload``.
-Each float vector or matrix in a payload (``values``, ``b_hidden``,
-``w_out``, ``matrix``) is one JSON string of base64 little-endian float64
-bytes, bit-exact by construction; a matrix also sends its column count as
-``cols``. Ids, rounds and scalars stay plain JSON. Other versions are
-refused with UnsupportedVersion.
+Wire format v3: a compact UTF-8 JSON header line, with exactly the fields
+``v`` (3), ``kind``, ``task``, ``round``, ``from``, ``to`` and ``payload``,
+then the raw little-endian float64 bytes of each float vector or matrix in
+the payload (``values``, ``b_hidden``, ``w_out``, ``matrix``), in sorted
+field-name order with no separator. In the header each such field holds its
+float count, and a matrix also gives its column count as ``cols``. Ids,
+rounds and scalars stay plain JSON. Other versions are refused with
+UnsupportedVersion.
 
 An Envelope holds each float field as its own read-only float64 copy of the
 caller's array (NaN and infinity refused), which is what ``decode`` rebuilds
 from the frames, so the in-process transport is identical to TCP. Payloads
 are schema-checked per kind: FIT and PREDICT kinds admit only flat vectors
 and only PARTIAL_PREACT and WTILDE_TRANSFER a matrix, which enforces feature
-confinement structurally. ``decode`` also needs a ``values`` frame to hold
-one float per id and a matrix one row per id (ShapeMismatch); a frame that
-is not base64 of whole float64s is MalformedMessage.
+confinement structurally. ``decode`` checks the header before it touches a
+frame byte: a ``values`` frame must hold one float per id and a matrix one
+row per id (ShapeMismatch). Frame bytes short of the declared counts, or
+left over after them, are MalformedMessage.
 
 FIT, PREDICT, PARTIAL_PREACT and WTILDE_TRANSFER requests name their ids
 either as ``ids`` or as ``id_set``, the ``id_digest`` of a list the same
@@ -29,13 +31,12 @@ digest it does not hold is UnknownIdSet, raised before any state changes.
 A module serves peers through ``ModuleResponder.answer``, which turns any
 failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
 ``TcpModuleServer``, the standard library's threaded TCP server, calls it
-once per line. Fit requests go to ``protocol.assist_fit(module, task_id,
+once per message. Fit requests go to ``protocol.assist_fit(module, task_id,
 round_no, ids, values, X)``, which returns the residual array.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import logging
@@ -55,10 +56,13 @@ from .core import LocalModule, TaskLabels, align
 
 log = logging.getLogger("assistlearn")
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 # payload fields that travel as float64 frames
 _FRAMES = frozenset({"values", "b_hidden", "w_out", "matrix"})
+
+# frame bytes are read from a stream at most this many at a time
+_CHUNK = 1 << 20
 
 # total ids a responder's id-set cache holds; the newest set always stays
 ID_SET_CAP = 1 << 12
@@ -237,71 +241,79 @@ class Envelope:
 
 
 def encode(envelope: Envelope) -> bytes:
-    """Serialize to one newline-terminated UTF-8 JSON line."""
-    payload = {}
+    """Serialize to the JSON header line followed by the float64 frames."""
+    payload, frames = {}, {}
     for name, value in envelope.payload.items():
         if isinstance(value, np.ndarray):
             if value.ndim == 2:
                 payload["cols"] = value.shape[1]
-            value = base64.b64encode(
-                value.astype("<f8", copy=False).tobytes()).decode("ascii")
+            frames[name] = np.ascontiguousarray(value, dtype="<f8")
+            value = value.size
         payload[name] = value
     body = {"v": envelope.v, "kind": envelope.kind, "task": envelope.task,
             "round": envelope.round, "from": envelope.sender,
             "to": envelope.receiver, "payload": payload}
     text = json.dumps(body, separators=(",", ":"), allow_nan=False)
-    return text.encode("utf-8") + b"\n"
+    return b"".join([text.encode("utf-8"), b"\n",
+                     *(frames[name] for name in sorted(frames))])
 
 
-def _unframe(kind: str, payload: dict) -> None:
-    """Replace each float64 frame the kind admits by its array, checked
-    against the payload's ids when it carries the list."""
+def _frame_shapes(kind: str, payload: dict) -> dict:
+    """The shape of each float64 frame the header declares, in frame order,
+    checked against the kind and, when the payload carries the list, the
+    ids."""
     required, optional = _SCHEMAS[kind]
     ids = payload.get("ids")
     rows = len(ids) if isinstance(ids, list) else None
-    admitted = _FRAMES & (required.keys() | optional.keys())
-    for name in sorted(admitted & payload.keys()):
-        try:
-            raw = base64.b64decode(payload[name], validate=True)
-        except (TypeError, ValueError):
-            raise err.MalformedMessage(f"{name}: not a base64 frame") from None
-        if len(raw) % 8:
-            raise err.MalformedMessage(f"{name}: {len(raw)} bytes of float64")
-        arr = np.frombuffer(raw, dtype="<f8")
+    shapes = {}
+    for name in sorted(_FRAMES & payload.keys()):
+        count = payload[name]
+        if name not in required and name not in optional:
+            raise err.MalformedMessage(f"{kind}: unexpected field {name!r}")
+        if not _is_int(count) or count < 0:
+            raise err.MalformedMessage(f"{name}: not a float count")
+        shapes[name] = (count,)
         if name == "matrix":
             cols = payload.pop("cols", None)
             if not _is_int(cols) or cols < 1 \
                     or rows is None and "id_set" not in payload:
                 raise err.MalformedMessage(
                     "matrix needs ids or id_set, and cols >= 1")
-            if arr.size % cols or rows not in (None, arr.size // cols):
-                raise err.ShapeMismatch(f"{arr.size} floats, {rows} x {cols}")
-            arr = arr.reshape(-1, cols)
-        elif name == "values" and rows is not None and arr.size != rows:
-            raise err.ShapeMismatch(f"{rows} ids but {arr.size} values")
-        payload[name] = arr
+            if count % cols or rows not in (None, count // cols):
+                raise err.ShapeMismatch(f"{count} floats, {rows} x {cols}")
+            shapes[name] = (count // cols, cols)
+        elif name == "values" and rows not in (None, count):
+            raise err.ShapeMismatch(f"{rows} ids but {count} values")
+    return shapes
 
 
-def decode(data) -> Envelope:
-    """Parse one line back into an Envelope.
+def _read(stream, size: int) -> bytes:
+    """``size`` bytes from a binary stream, read in bounded chunks so memory
+    grows only with the bytes that arrive."""
+    chunks = []
+    while size:
+        chunk = stream.read(min(size, _CHUNK))
+        if not chunk:
+            raise err.MalformedMessage(f"stream ended {size} bytes short")
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
 
-    Raises MalformedMessage for anything that is not a single well-formed
-    line of the expected shape, UnsupportedVersion for a foreign ``v``,
-    ShapeMismatch for a frame that does not fit the ids and
-    NonFinitePayload for NaN or infinity in the payload.
+
+def decode(data, stream=None) -> Envelope:
+    """Parse one message back into an Envelope.
+
+    ``data`` is a whole message, or only its header line when the frames
+    are to be read from the binary ``stream``. Raises MalformedMessage for
+    anything that is not a well-formed message of the expected shape,
+    UnsupportedVersion for a foreign ``v``, ShapeMismatch for frame counts
+    that do not fit the ids and NonFinitePayload for NaN or infinity.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            text = bytes(data).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise err.MalformedMessage(f"not UTF-8: {exc}") from None
-    else:
-        text = str(data)
-    text = text.rstrip("\r\n")
-    if "\n" in text:
-        raise err.MalformedMessage("expected exactly one line")
+    end = data.find(b"\n") + 1 or len(data)
     try:
-        body = json.loads(text)
+        body = json.loads(data[:end].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise err.MalformedMessage(f"not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise err.MalformedMessage(f"bad JSON: {exc}") from None
     if not isinstance(body, dict):
@@ -314,15 +326,24 @@ def decode(data) -> Envelope:
         raise err.MalformedMessage("v must be an int")
     if version != WIRE_VERSION:
         raise err.UnsupportedVersion(f"version {version} not supported")
-    kind = body["kind"]
+    kind, payload = body["kind"], body["payload"]
     if not isinstance(kind, str) or kind not in KINDS:
         raise err.MalformedMessage(f"unknown kind {kind!r}")
-    if not isinstance(body["payload"], dict):
+    if not isinstance(payload, dict):
         raise err.MalformedMessage("payload must be an object")
-    _unframe(kind, body["payload"])
+    shapes = _frame_shapes(kind, payload)
+    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    raw = memoryview(data)[end:] if stream is None else _read(stream, size)
+    if len(raw) != size:
+        raise err.MalformedMessage(f"{len(raw)} frame bytes, {size} declared")
+    offset = 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        payload[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
+        offset += 8 * count
     return Envelope(kind=kind, task=body["task"], round=body["round"],
                     sender=body["from"], receiver=body["to"],
-                    payload=body["payload"], v=version)
+                    payload=payload, v=version)
 
 
 # ---------------------------------------------------------------------------
@@ -350,18 +371,22 @@ class ModuleResponder:
     def module_id(self) -> str:
         return self.module.module_id
 
-    def answer(self, request) -> Envelope:
-        """Reply to ``request``, an Envelope or one encoded line.
+    def answer(self, request, stream=None) -> Envelope:
+        """Reply to ``request``: an Envelope, one encoded message, or a
+        header line whose frames ``decode`` reads from ``stream``.
 
         Any failure, including a line that does not decode, becomes an ERROR
         reply naming the exception type; one that is not an AssistError is
-        also logged. A peer's request never raises out of here.
+        also logged. A peer's request never raises out of here, but an
+        OSError of ``stream`` does: the connection is lost mid-message.
         """
         env = request if isinstance(request, Envelope) else None
         try:
             if env is None:
-                env = decode(request)
+                env = decode(request, stream)
             return self.handle(env)
+        except OSError:
+            raise
         except Exception as exc:  # noqa: BLE001 - a peer never takes us down
             if not isinstance(exc, err.AssistError):
                 log.exception("unexpected responder failure")
@@ -566,7 +591,7 @@ def local_endpoint(module: LocalModule) -> InProcEndpoint:
 
 
 class TcpEndpoint:
-    """Client side of the JSON-lines TCP transport (one connection per call)."""
+    """Client side of the TCP transport (one connection per call)."""
 
     def __init__(self, host: str, port: int, module_id: str):
         self.host = host
@@ -581,15 +606,16 @@ class TcpEndpoint:
                 conn.sendall(data)
                 with conn.makefile("rb") as rfile:
                     line = rfile.readline()
+                    if not line:
+                        raise err.TransportError(
+                            "connection closed without a reply")
+                    return decode(line, rfile)
         except ConnectionRefusedError as exc:
             raise err.ConnectionRefused(str(exc)) from None
         except socket.timeout as exc:
             raise err.RequestTimeout(str(exc)) from None
         except OSError as exc:
             raise err.TransportError(str(exc)) from None
-        if not line:
-            raise err.TransportError("connection closed without a reply")
-        return decode(line)
 
 
 # ---------------------------------------------------------------------------
@@ -597,37 +623,40 @@ class TcpEndpoint:
 # ---------------------------------------------------------------------------
 
 class _LineHandler(socketserver.StreamRequestHandler):
-    """Answers each line of one connection until the peer closes it, goes
+    """Answers each message of one connection until the peer closes it, goes
     quiet for ``timeout`` seconds or the connection fails."""
 
     timeout = 60.0
 
     def handle(self) -> None:
+        answer = self.server.responder.answer
         try:
             for line in self.rfile:
-                self.wfile.write(encode(self.server.responder.answer(line)))
+                self.wfile.write(encode(answer(line, self.rfile)))
         except OSError:
             pass
 
 
 class TcpModuleServer(socketserver.ThreadingTCPServer):
-    """Threaded JSON-lines server wrapping a ModuleResponder.
+    """Threaded TCP server wrapping a ModuleResponder.
 
     The stdlib threaded server: ``serve_forever`` runs on a daemon thread
     started here, and each connection gets a daemon handler thread that
-    answers any number of lines. A line that cannot be decoded or served
+    answers any number of messages. A line that cannot be decoded or served
     yields an ERROR reply and the server keeps going - garbage never takes
     the process down. ``stop()``, or leaving a ``with`` block, stops
-    accepting and closes the listening socket; calling it again is harmless.
+    accepting, closes the listening socket, shuts down every open
+    connection and joins its handler thread; calling it again is harmless.
     """
 
     allow_reuse_address = True
-    daemon_threads = True
     request_queue_size = 16
 
     def __init__(self, responder: ModuleResponder, host: str = "127.0.0.1",
                  port: int = 0):
         self.responder = responder
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_guard = threading.Lock()
         try:
             super().__init__((host, port), _LineHandler)
         except (OSError, OverflowError) as exc:  # a port past 65535 overflows
@@ -644,9 +673,31 @@ class TcpModuleServer(socketserver.ThreadingTCPServer):
     def endpoint(self) -> TcpEndpoint:
         return TcpEndpoint(self.host, self.port, self.module_id)
 
+    def process_request(self, request, client_address):
+        # the stdlib tracks only non-daemon threads; stop() joins these
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._open_guard:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        with self._open_guard:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
     def stop(self) -> None:
         self.shutdown()
         self.server_close()
+        with self._open_guard:
+            threads = list(self._open.values())
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for thread in threads:
+            thread.join()
 
     def __exit__(self, *exc_info):
         self.stop()

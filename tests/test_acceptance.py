@@ -6,7 +6,6 @@ always runs; the full-scale variant (n_train=10000, n_test=100000, five
 replications) is expensive and only runs when ASSIST_ACCEPT_FULL=1.
 """
 
-import base64
 import json
 import os
 import socket
@@ -442,20 +441,23 @@ _FLOAT_FIELDS = ("values", "matrix", "features")
 def _accepts(kind, payload) -> bool:
     """Whether any path admits ``payload`` as ``kind``: the schema on the
     arrays an Envelope holds, an Envelope built from the payload, or a wire
-    line carrying its float fields as frames (with the column count)."""
+    message carrying its float fields as counted frames after the header
+    line (with the column count)."""
     held = {k: np.array(v, dtype=np.float64) if k in _FLOAT_FIELDS else v
             for k, v in payload.items()}
     wire = dict(payload)
     for name in _FLOAT_FIELDS & payload.keys():
-        wire[name] = base64.b64encode(held[name].tobytes()).decode()
+        wire[name] = held[name].size
         if held[name].ndim == 2:
             wire["cols"] = held[name].shape[1]
-    line = json.dumps({"v": 2, "kind": kind, "task": "t", "round": 1,
-                       "from": "a", "to": "b", "payload": wire})
+    line = json.dumps({"v": 3, "kind": kind, "task": "t", "round": 1,
+                       "from": "a", "to": "b", "payload": wire}) + "\n"
+    frames = b"".join(held[name].astype("<f8").tobytes()
+                      for name in sorted(_FLOAT_FIELDS & payload.keys()))
     attempts = (lambda: validate_payload(kind, held),
                 lambda: Envelope(kind=kind, task="t", round=1, sender="a",
                                  receiver="b", payload=payload),
-                lambda: decode(line))
+                lambda: decode(line.encode() + frames))
     accepted = False
     for attempt in attempts:
         try:

@@ -3,7 +3,7 @@ import pytest
 
 from assistlearn import errors as err
 from assistlearn.core import (FeaturePartition, LocalModule, TaskLabels,
-                              align, collate, derive_seed, vertical_split)
+                              align, derive_seed, vertical_split)
 from assistlearn.learners import LearnerSpec
 
 
@@ -134,30 +134,6 @@ def test_id_validation_matches_per_element_reference(ids):
         part = make_part()
         assert part.ids == expect and all(type(i) is str for i in part.ids)
         assert part.rows_for(expect).tolist() == list(range(n))
-
-
-def test_collate_inner_join_sorted():
-    p1 = _part(["3", "1", "2"], [[30.0], [10.0], [20.0]], ["u"])
-    p2 = _part(["2", "4", "1"], [[2.0], [4.0], [1.0]], ["v"])
-    ids = collate([p1, p2])
-    assert ids == ("1", "2") and type(ids) is tuple
-    # the shared ids line up each source's own row order
-    assert align(p1, ids)[:, 0].tolist() == [10.0, 20.0]
-    assert align(p2, ids)[:, 0].tolist() == [1.0, 2.0]
-
-
-def test_collate_empty_intersection():
-    p1 = _part(["a"], [[1.0]], ["u"])
-    p2 = _part(["b"], [[1.0]], ["v"])
-    with pytest.raises(err.EmptyIntersection):
-        collate([p1, p2])
-
-
-def test_collate_single_partition_and_empty_list():
-    p1 = _part(["b", "a"], [[1.0], [2.0]], ["u"])
-    assert collate([p1]) == ("a", "b")
-    with pytest.raises(ValueError):
-        collate([])
 
 
 def test_align_accepts_plain_id_sequences_and_copies():

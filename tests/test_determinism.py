@@ -116,20 +116,21 @@ def _split(wrap):
     nn_protocol.nn_predict(result, alice, bob_ep, test_ids)
 
 
-# (bytes, messages) per kind. Wire v2 sends each float vector or matrix as
-# base64 of its float64 bytes, 10.67 bytes per float where v1's decimal text
-# took about 19. Within one stage call an id list crosses once per peer;
-# later requests and their replies carry its 64-character digest instead.
+# (bytes, messages) per kind. Wire v3 sends each float vector or matrix as
+# its raw float64 bytes after the header line, 8 bytes per float where v2's
+# base64 text took 10.67, and the header names only its float count. Within
+# one stage call an id list crosses once per peer; later requests and their
+# replies carry its 64-character digest instead.
 _CHAIN_TRAFFIC = {
-    "FIT_REQUEST": (9182, 6),
-    "FIT_RESPONSE": (9188, 6),
+    "FIT_REQUEST": (7646, 6),
+    "FIT_RESPONSE": (7652, 6),
     "PREDICT_REQUEST": (3320, 12),
-    "PREDICT_RESPONSE": (7424, 12),
+    "PREDICT_RESPONSE": (6392, 12),
 }
 _SPLIT_TRAFFIC = {
-    "LABELS_TRANSFER": (2339, 2),
-    "PARTIAL_PREACT": (19649, 14),
-    "WTILDE_TRANSFER": (9396, 4),
+    "LABELS_TRANSFER": (2083, 2),
+    "PARTIAL_PREACT": (16152, 14),
+    "WTILDE_TRANSFER": (7246, 4),
 }
 
 

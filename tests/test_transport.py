@@ -1,10 +1,12 @@
 import base64
 import enum
 import hashlib
+import io
 import json
 import logging
 import math
 import socket
+import struct
 import sys
 import threading
 import time
@@ -74,22 +76,29 @@ def test_encode_is_single_json_line():
     body = json.loads(raw)
     assert set(body) == {"v", "kind", "task", "round", "from", "to",
                          "payload"}
-    assert body["v"] == 2 and body["from"] == "a" and body["to"] == "b"
-    env = Envelope(kind="PARTIAL_PREACT", task="t", round=1, sender="a",
+    assert body["v"] == 3 and body["from"] == "a" and body["to"] == "b"
+    # frames follow the header line raw, in sorted field-name order
+    env = Envelope(kind="WTILDE_TRANSFER", task="t", round=2, sender="a",
                    receiver="b", payload={"ids": ["x", "y"],
                                           "matrix": np.arange(6.0)
-                                          .reshape(2, 3)})
-    payload = json.loads(encode(env))["payload"]
+                                          .reshape(2, 3),
+                                          "w_out": [7.0, 8.0, 9.0],
+                                          "b_hidden": [4.0, 5.0, 6.0],
+                                          "b_out": 0.5})
+    header, frames = encode(env).split(b"\n", 1)
+    payload = json.loads(header)["payload"]
     assert payload["ids"] == ["x", "y"] and payload["cols"] == 3
-    assert base64.b64decode(payload["matrix"]) == \
-        np.arange(6.0).astype("<f8").tobytes()
+    assert (payload["matrix"], payload["b_hidden"], payload["w_out"]) \
+        == (6, 3, 3)
+    assert frames == np.array([4.0, 5.0, 6.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0,
+                               7.0, 8.0, 9.0]).astype("<f8").tobytes()
 
 
 def test_envelope_validation():
     ok = dict(kind="ERROR", task="t", round=0, sender="a", receiver="b",
               payload={"error": "StorageConflict"})
     Envelope(**ok)
-    for version in (1, 3):
+    for version in (1, 2):
         with pytest.raises(err.UnsupportedVersion):
             Envelope(**ok, v=version)
     for kind in ("GOSSIP", "REFUSE"):
@@ -139,83 +148,112 @@ def test_decode_rejects_garbage():
     with pytest.raises(err.MalformedMessage):
         decode(b"[1, 2]\n")
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v": 2}\n')
+        decode(b'{"v": 3}\n')
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v":2,"kind":"ERROR"}\n{"second":1}\n')
+        decode(b'{"v":3,"kind":"ERROR"}\n{"second":1}\n')
     line = encode(Envelope(kind="ERROR", task="t", round=0, sender="a",
                            receiver="b",
-                           payload={"error": "StorageConflict"})).decode()
-    for version in ('"v":1', '"v":9'):
+                           payload={"error": "StorageConflict"}))
+    for version in (b'"v":1', b'"v":2', b'"v":9'):
         with pytest.raises(err.UnsupportedVersion):
-            decode(line.replace('"v":2', version))
+            decode(line.replace(b'"v":3', version))
     with pytest.raises(err.MalformedMessage):
-        decode(line.replace('"v":2', '"v":"2"'))
-    for kind in ("GOSSIP", "REFUSE"):
+        decode(line.replace(b'"v":3', b'"v":"3"'))
+    for kind in (b"GOSSIP", b"REFUSE"):
         with pytest.raises(err.MalformedMessage):
-            decode(line.replace('"ERROR"', f'"{kind}"'))
+            decode(line.replace(b'"ERROR"', b'"' + kind + b'"'))
 
 
-def _frame_line(kind, payload, round_no=1):
-    """A hand-built v2 line; float fields are given as raw frame text."""
-    return (json.dumps({"v": 2, "kind": kind, "task": "t", "round": round_no,
-                        "from": "a", "to": "m", "payload": payload})
-            + "\n").encode()
+def _frame_line(kind, payload, round_no=1, tail=b""):
+    """A hand-built v3 message. Each bytes field of ``payload`` becomes a
+    frame, declared as len // 8 floats; any other value goes into the header
+    as given. ``tail`` follows the frames."""
+    header, frames = {}, {}
+    for name, value in payload.items():
+        if isinstance(value, bytes):
+            frames[name], value = value, len(value) // 8
+        header[name] = value
+    line = json.dumps({"v": 3, "kind": kind, "task": "t", "round": round_no,
+                       "from": "a", "to": "m", "payload": header}) + "\n"
+    return line.encode() + b"".join(frames[k] for k in sorted(frames)) + tail
 
 
-def _b64(values):
-    return base64.b64encode(
-        np.asarray(values, dtype="<f8").tobytes()).decode()
+def _f8(values):
+    """The raw little-endian float64 bytes of a frame."""
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+def _decode_both_ways(message):
+    """Decode a whole message, and its header line with the frames read
+    from a stream; both must agree."""
+    line, _, frames = message.partition(b"\n")
+    outcomes = []
+    for attempt in (lambda: decode(message),
+                    lambda: decode(line + b"\n", io.BytesIO(frames))):
+        try:
+            outcomes.append(attempt())
+        except err.AssistError as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], type):
+        raise outcomes[0]("from _decode_both_ways")
+    return outcomes[0]
 
 
 def test_decode_checks_frames_against_the_ids():
+    def check(kind, payload):
+        return _decode_both_ways(_frame_line(kind, payload))
     ids = ["a", "b", "c"]
-    assert decode(_frame_line("FIT_REQUEST", {"ids": ids,
-                                              "values": _b64([1, 2, 3])}))
+    assert check("FIT_REQUEST", {"ids": ids, "values": _f8([1, 2, 3])})
     for k in (2, 3):  # a flattened (len(ids), k) matrix is not a vector
         with pytest.raises(err.ShapeMismatch):
-            decode(_frame_line("FIT_REQUEST", {
-                "ids": ids, "values": _b64(np.ones(len(ids) * k))}))
+            check("FIT_REQUEST", {"ids": ids,
+                                  "values": _f8(np.ones(len(ids) * k))})
     for kind in ("FIT_RESPONSE", "PREDICT_RESPONSE"):
         with pytest.raises(err.ShapeMismatch):
-            decode(_frame_line(kind, {"ids": ids, "values": _b64([1, 2])}))
-    partial = {"ids": ids, "matrix": _b64(np.ones(6)), "cols": 2}
-    assert decode(_frame_line("PARTIAL_PREACT", partial)).payload[
-        "matrix"].shape == (3, 2)
+            check(kind, {"ids": ids, "values": _f8([1, 2])})
+    partial = {"ids": ids, "matrix": _f8(np.ones(6)), "cols": 2}
+    assert check("PARTIAL_PREACT", partial).payload["matrix"].shape == (3, 2)
     for rows in (2, 4):
         with pytest.raises(err.ShapeMismatch):
-            decode(_frame_line("PARTIAL_PREACT", {
-                **partial, "matrix": _b64(np.ones(rows * 2))}))
-    for cols in (None, 0, -2, 2.0, True, "2"):
+            check("PARTIAL_PREACT", {**partial,
+                                     "matrix": _f8(np.ones(rows * 2))})
+    for cols in (None, 0, -2, 2.0, True, "2", [2]):
         bad = {**partial, "cols": cols} if cols is not None else \
             {"ids": ids, "matrix": partial["matrix"]}
         with pytest.raises(err.MalformedMessage):
-            decode(_frame_line("PARTIAL_PREACT", bad))
+            check("PARTIAL_PREACT", bad)
     # a column count or a matrix where the kind admits none
     with pytest.raises(err.MalformedMessage):
-        decode(_frame_line("FIT_REQUEST", {"ids": ids,
-                                           "values": _b64([1, 2, 3]),
-                                           "cols": 1}))
+        check("FIT_REQUEST", {"ids": ids, "values": _f8([1, 2, 3]),
+                              "cols": 1})
     with pytest.raises(err.MalformedMessage):
-        decode(_frame_line("FIT_REQUEST", {"ids": ids,
-                                           "values": _b64([1, 2, 3]),
-                                           **partial}))
+        check("FIT_REQUEST", {"ids": ids, "values": _f8([1, 2, 3]),
+                              **partial})
     with pytest.raises(err.NonFinitePayload):
-        decode(_frame_line("FIT_REQUEST", {"ids": ids,
-                                           "values": _b64([1, np.nan, 3])}))
+        check("FIT_REQUEST", {"ids": ids, "values": _f8([1, np.nan, 3])})
+    # an empty list takes empty frames
+    assert check("PARTIAL_PREACT", {"ids": [], "matrix": b"", "cols": 4}
+                 ).payload["matrix"].shape == (0, 4)
 
 
-@pytest.mark.parametrize("frame", [
-    _b64([1.0, 2.0])[:-3],                 # truncated
-    _b64([1.0, 2.0]) + "=",                # bad padding
-    "not base64!",
-    "AAAA",                                # 3 bytes, not whole float64s
-    base64.b64encode(b"\x00" * 9).decode(),  # 9 bytes
-    "\u00e9\u00e9\u00e9\u00e9",                  # non-ASCII
-    [1.0, 2.0], 1.5, None, {"f8": "AAAAAAAAAAA="},
-], ids=["truncated", "padding", "alphabet", "three-bytes", "nine-bytes",
-        "non-ascii", "list", "number", "null", "object"])
-def test_bad_frames_are_malformed_and_never_a_traceback(frame, caplog):
-    line = _frame_line("FIT_REQUEST", {"ids": ["a", "b"], "values": frame})
+@pytest.mark.parametrize("count, frames", [
+    (2, _f8([1.0, 2.0])[:-3]),              # truncated
+    (2, _f8([1.0, 2.0]) + b"\0"),           # a byte past the last frame
+    (2, b"\0" * 3),                          # 3 bytes, not whole float64s
+    (2, b"\0" * 9),                          # 9 bytes
+    (2, _f8([1.0, 2.0, 3.0])),              # a whole float past the frames
+    (2, b""),                               # frames missing
+    (-2, b""), (True, _f8([1.0])), ("2", _f8([1.0, 2.0])),
+    ("not a count!", b""), ("\u00e9\u00e9", b""), ([1.0, 2.0], b""),
+    (1.5, b""), (None, b""), ({"f8": 2}, b""),
+], ids=["truncated", "padding", "three-bytes", "nine-bytes", "extra-float",
+        "missing", "negative", "bool", "string", "alphabet", "non-ascii",
+        "list", "number", "null", "object"])
+def test_bad_frames_are_malformed_and_never_a_traceback(count, frames,
+                                                        caplog):
+    line = _frame_line("FIT_REQUEST", {"ids": ["a", "b"], "values": count},
+                       tail=frames)
     with pytest.raises(err.MalformedMessage):
         decode(line)
     with caplog.at_level(logging.ERROR, logger="assistlearn"):
@@ -394,7 +432,7 @@ def test_payload_path_does_no_per_element_work(monkeypatch):
                                 .default_rng(n).standard_normal(n)})
         line = encode(env)
         back = decode(line)
-        assert isinstance(json.loads(line)["payload"]["values"], str)
+        assert json.loads(line.split(b"\n")[0])["payload"]["values"] == n
         assert back.payload["values"].tobytes() == \
             env.payload["values"].tobytes()
         return list(seen)
@@ -682,13 +720,13 @@ def _kind_payloads(id_field):
 
 
 def _wire(payload):
-    """A payload as a v2 line carries it: frames as base64, with cols."""
+    """A payload as ``_frame_line`` takes it: frames as bytes, with cols."""
     out = {}
     for name, value in payload.items():
         if isinstance(value, np.ndarray):
             if value.ndim == 2:
                 out["cols"] = value.shape[1]
-            value = _b64(value.ravel())
+            value = _f8(value.ravel())
         out[name] = value
     return out
 
@@ -707,11 +745,30 @@ def test_id_digest_is_sha256_of_the_compact_json_list():
 @pytest.mark.parametrize("form", ["ids", "id_set"])
 @pytest.mark.parametrize("kind", sorted(transport.KINDS))
 def test_every_kind_round_trips_to_an_equal_envelope(kind, form):
+    """Whole, and with the frames read from a stream, also when frame bytes
+    hold a newline; a byte past the last frame is MalformedMessage."""
     id_field = {"ids": ["a", "b"]} if form == "ids" else {"id_set": _AB}
+    payload = _kind_payloads(id_field)[kind]
+    newline = np.frombuffer(b"\n" * 8, dtype="<f8")[0]  # finite, all 0x0A
+    for name in transport._FRAMES & payload.keys():
+        value = np.array(payload[name], dtype=np.float64)
+        value.flat[0] = newline
+        payload = {**payload, name: value}
     env = Envelope(kind=kind, task="t", round=2, sender="a", receiver="b",
-                   payload=_kind_payloads(id_field)[kind])
-    back = decode(encode(env))
+                   payload=payload)
+    message = encode(env)
+    back = decode(message)
     assert back == env and not back != env
+    stream = io.BytesIO(message + message)  # two messages back to back
+    for _ in range(2):
+        assert decode(stream.readline(), stream) == env
+    assert stream.read() == b""
+    line, _, frames = message.partition(b"\n")
+    if frames:
+        with pytest.raises(err.MalformedMessage):
+            decode(line, io.BytesIO(frames[:-1]))
+    with pytest.raises(err.MalformedMessage):
+        decode(message + b"\0")
     assert back != Envelope(kind=kind, task="t", round=3, sender="a",
                             receiver="b", payload=env.payload)
     assert env != encode(env)
@@ -786,12 +843,12 @@ def test_labels_transfer_takes_no_id_set():
 def test_id_set_frames_are_checked_against_the_resolved_ids():
     # with no id list on the line, the counts are checked once it resolves
     line = _frame_line("PARTIAL_PREACT", {"id_set": _AB,
-                                          "matrix": _b64(np.ones(6)),
+                                          "matrix": _f8(np.ones(6)),
                                           "cols": 2})
     assert decode(line).payload["matrix"].shape == (3, 2)
     with pytest.raises(err.ShapeMismatch):
         decode(_frame_line("PARTIAL_PREACT", {
-            "id_set": _AB, "matrix": _b64(np.ones(5)), "cols": 2}))
+            "id_set": _AB, "matrix": _f8(np.ones(5)), "cols": 2}))
     module = _module()
     ep = local_endpoint(module)
     ids = list(module.partition.ids)
@@ -1054,17 +1111,26 @@ def test_tcp_survives_garbage_lines():
 
 def test_wrong_version_over_the_wire():
     module = _module(seed=14)
+    ids = list(module.partition.ids)
+    # a v2 FIT_REQUEST: its frame is base64 text inside the line
+    v2 = (json.dumps({"v": 2, "kind": "FIT_REQUEST", "task": "t", "round": 1,
+                      "from": "a", "to": "m",
+                      "payload": {"ids": ids, "values": base64.b64encode(
+                          _f8(np.zeros(20))).decode()}}) + "\n").encode()
     with serve_module(module) as server:
         line = encode(Envelope(kind="ERROR", task="t", round=0, sender="a",
-                               receiver="b", payload={"error": "x"})).decode()
+                               receiver="b", payload={"error": "x"}))
         with socket.create_connection((server.host, server.port),
                                       timeout=5.0) as conn:
             reader = conn.makefile("rb")
-            for version in ('"v":1', '"v":3'):
-                conn.sendall(line.replace('"v":2', version).encode())
-                reply = decode(reader.readline())
+            for message in (line.replace(b'"v":3', b'"v":1'),
+                            line.replace(b'"v":3', b'"v":4'), v2):
+                conn.sendall(message)
+                reply = decode(reader.readline(), reader)
                 assert reply.kind == "ERROR"
                 assert reply.payload["error"] == "UnsupportedVersion"
+            conn.sendall(encode(_fit_env(module, ids, np.zeros(20))))
+            assert decode(reader.readline(), reader).kind == "FIT_RESPONSE"
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -1075,7 +1141,7 @@ def test_non_finite_literals_are_rejected_on_the_wire(literal):
     ids = list(module.partition.ids)
     good = encode(_fit_env(module, ids, [0.25] * len(ids)))
     shared = _frame_line("WTILDE_TRANSFER", {
-        "b_hidden": _b64([0.0]), "w_out": _b64([1.0]), "b_out": 0.25},
+        "b_hidden": _f8([0.0]), "w_out": _f8([1.0]), "b_out": 0.25},
         round_no=2)
     bad = shared.replace(b"0.25", literal.encode(), 1)
     assert bad != shared and decode(shared).payload["b_out"] == 0.25
@@ -1086,8 +1152,67 @@ def test_non_finite_literals_are_rejected_on_the_wire(literal):
                                       timeout=5.0) as conn:
             reader = conn.makefile("rb")
             conn.sendall(bad)
-            reply = decode(reader.readline())
+            reply = decode(reader.readline(), reader)
             assert reply.kind == "ERROR"
             assert reply.payload["error"] == "NonFinitePayload"
             conn.sendall(good)
-            assert decode(reader.readline()).kind == "FIT_RESPONSE"
+            assert decode(reader.readline(), reader).kind == "FIT_RESPONSE"
+
+
+def test_a_huge_declared_frame_costs_only_the_bytes_that_arrive(caplog):
+    """A header may declare any float count; the server reads what arrives,
+    answers a message cut short with an ERROR, drops a reset connection
+    without a traceback and keeps serving."""
+    module = _module(seed=17)
+    header = _frame_line("FIT_REQUEST", {"ids": ["0000"], "values": 2 ** 40})
+    huge = _frame_line("PARTIAL_PREACT", {"id_set": "0" * 64,
+                                          "matrix": 2 ** 40, "cols": 1})
+    with caplog.at_level(logging.ERROR, logger="assistlearn"):
+        with serve_module(module) as server:
+            # the count disagrees with the ids: refused before any frame byte
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5.0) as conn:
+                conn.sendall(header)
+                reply = decode(conn.makefile("rb").readline())
+                assert reply.payload["error"] == "ShapeMismatch"
+            for resets in (False, True):
+                with socket.create_connection((server.host, server.port),
+                                              timeout=5.0) as conn:
+                    conn.sendall(huge + b"\0" * 16)
+                    if resets:  # close with a reset instead of a FIN
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                        struct.pack("ii", 1, 0))
+                        continue
+                    conn.shutdown(socket.SHUT_WR)
+                    reply = decode(conn.makefile("rb").readline())
+                    assert reply.payload["error"] == "MalformedMessage"
+            good = server.endpoint().request(
+                _fit_env(module, module.partition.ids, np.zeros(20)),
+                timeout=5.0)
+            assert good.kind == "FIT_RESPONSE"
+    assert not caplog.records  # stop() joined every handler first
+
+
+def test_stop_closes_open_connections_and_joins_their_threads():
+    module = _module(seed=18)
+    ids = list(module.partition.ids)
+    before = set(threading.enumerate())
+    server = serve_module(module)
+    with socket.create_connection((server.host, server.port),
+                                  timeout=5.0) as conn:
+        reader = conn.makefile("rb")
+        conn.sendall(encode(_fit_env(module, ids, np.zeros(20))))
+        assert decode(reader.readline(), reader).kind == "FIT_RESPONSE"
+        started = time.monotonic()
+        server.stop()
+        assert not set(threading.enumerate()) - before
+        conn.settimeout(2.0)
+        try:
+            conn.sendall(encode(_fit_env(module, ids, np.zeros(20),
+                                         round_no=2)))
+            reply = reader.readline()
+        except (BrokenPipeError, ConnectionResetError):
+            reply = b""
+        assert reply == b""  # end of stream, not a reply
+        assert time.monotonic() - started < 2.0
+    assert list(module.model_store) == [("t", 1)]
