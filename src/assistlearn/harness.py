@@ -345,7 +345,8 @@ class _Endpoints:
         return self.endpoints
 
     def __exit__(self, *exc_info):
-        for server in self.servers:
+        for server, endpoint in zip(self.servers, self.endpoints):
+            endpoint.close()
             server.stop()
 
 

@@ -31,8 +31,9 @@ digest it does not hold is UnknownIdSet, raised before any state changes.
 A module serves peers through ``ModuleResponder.answer``, which turns any
 failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
 ``TcpModuleServer``, the standard library's threaded TCP server, calls it
-once per message. Fit requests go to ``protocol.assist_fit(module, task_id,
-round_no, ids, values, X)``, which returns the residual array.
+once per message; a ``TcpEndpoint`` sends its requests one at a time over
+one kept connection. Fit requests go to ``protocol.assist_fit(module,
+task_id, round_no, ids, values, X)``, which returns the residual array.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ _CHUNK = 1 << 20
 
 # total ids a responder's id-set cache holds; the newest set always stays
 ID_SET_CAP = 1 << 12
+
+# request kinds a responder may answer twice with the same effect
+_RESENDABLE = frozenset({"PREDICT_REQUEST", "PARTIAL_PREACT"})
 
 
 def id_digest(ids) -> str:
@@ -590,32 +594,86 @@ def local_endpoint(module: LocalModule) -> InProcEndpoint:
     return InProcEndpoint(ModuleResponder(module))
 
 
+def _peer_closed(conn) -> bool:
+    """Whether an idle connection was closed or reset, or holds stray bytes."""
+    conn.setblocking(False)
+    try:
+        conn.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+    except OSError:
+        pass
+    return True
+
+
 class TcpEndpoint:
-    """Client side of the TCP transport (one connection per call)."""
+    """Client side of the TCP transport: one kept connection, which requests
+    use one at a time, in order. It is replaced once the peer has closed it
+    and closed on any failure, so a late reply never answers a later
+    request. Only a PREDICT_REQUEST or PARTIAL_PREACT is resent: once, on a
+    fresh connection, when a reused one broke before any reply byte."""
 
     def __init__(self, host: str, port: int, module_id: str):
         self.host = host
         self.port = port
         self.module_id = module_id
+        self._lock = threading.RLock()
+        self._conn = self._rfile = None
 
     def request(self, envelope: Envelope, timeout: float = 30.0) -> Envelope:
         data = encode(envelope)
+        with self._lock:
+            reused = self._conn is not None and not _peer_closed(self._conn)
+            if not reused:
+                self.close()
+            reply = self._exchange(data, timeout)
+            if reply is None and reused and envelope.kind in _RESENDABLE:
+                reply = self._exchange(data, timeout)
+            if reply is None:
+                raise err.TransportError("connection closed without a reply")
+            return reply
+
+    def _exchange(self, data: bytes, timeout: float) -> Envelope | None:
+        """Send on the kept connection, opened if need be, and read the reply;
+        None if it broke before a reply byte. Closed unless a reply is read."""
+        reply = None
         try:
-            with socket.create_connection((self.host, self.port),
-                                          timeout=timeout) as conn:
-                conn.sendall(data)
-                with conn.makefile("rb") as rfile:
-                    line = rfile.readline()
-                    if not line:
-                        raise err.TransportError(
-                            "connection closed without a reply")
-                    return decode(line, rfile)
+            if self._conn is None:
+                self._conn = socket.create_connection((self.host, self.port),
+                                                      timeout=timeout)
+                self._rfile = self._conn.makefile("rb")
+            self._conn.settimeout(timeout)
+            try:
+                self._conn.sendall(data)
+                answered = self._rfile.peek(1)
+            except ConnectionError:  # reset or broken pipe
+                answered = b""
+            if answered:
+                reply = decode(self._rfile.readline(), self._rfile)
+            return reply
         except ConnectionRefusedError as exc:
             raise err.ConnectionRefused(str(exc)) from None
         except socket.timeout as exc:
             raise err.RequestTimeout(str(exc)) from None
         except OSError as exc:
             raise err.TransportError(str(exc)) from None
+        finally:
+            if reply is None:
+                self.close()
+
+    def close(self) -> None:
+        """Close the kept connection; a later request opens a new one."""
+        with self._lock:
+            if self._conn is not None:
+                self._rfile.close()
+                self._conn.close()
+                self._conn = self._rfile = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def _linear_chain_run(correlation, transport, data_seed=2026, n=2000,
                for i, p in enumerate(parts[1:], start=1)]
     cfg = ProtocolConfig(max_rounds=max_rounds, patience=max_rounds,
                          holdout_fraction=0.0, seed=0)
-    servers = []
+    servers, endpoints = [], []
     try:
         if transport == "tcp":
             servers = [serve_module(m) for m in helpers]
@@ -68,7 +68,8 @@ def _linear_chain_run(correlation, transport, data_seed=2026, n=2000,
         pred_train = predict_stage(task, alice, endpoints, task.train_ids,
                                    upto=len(task.records))
     finally:
-        for s in servers:
+        for s, ep in zip(servers, endpoints):
+            ep.close()
             s.stop()
     y = labels.lookup(task.train_ids)
     X = align(full, task.train_ids)
@@ -120,6 +121,7 @@ def _split_net_run(transport, data_seed=2026):
         pred_test = nn_predict(result, alice, ep, test_ids, upto=40)
     finally:
         if server is not None:
+            ep.close()
             server.stop()
     y_test = labels.lookup(test_ids)
     return {
@@ -504,11 +506,12 @@ def test_criterion_8_schema_confinement_and_fuzz(capsys):
                     survived = False
                     break
         # the server must still do real work afterwards
-        good = server.endpoint().request(
-            Envelope(kind="FIT_REQUEST", task="after-fuzz",
-                     round=1, sender="a", receiver="target",
-                     payload={"ids": list(part.ids),
-                              "values": [0.0] * part.n_rows}))
+        with server.endpoint() as ep:
+            good = ep.request(
+                Envelope(kind="FIT_REQUEST", task="after-fuzz",
+                         round=1, sender="a", receiver="target",
+                         payload={"ids": list(part.ids),
+                                  "values": [0.0] * part.n_rows}))
         survived = survived and good.kind == "FIT_RESPONSE"
     seconds = time.perf_counter() - started
     ok = matrix_smuggling == 0 and survived and seconds < 60.0

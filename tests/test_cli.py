@@ -160,8 +160,8 @@ def test_serve_subprocess_answers_requests(tmp_path):
                        sender="alice", receiver="worker",
                        payload={"ids": list(part.ids),
                                 "values": [0.0] * part.n_rows})
-        ep = TcpEndpoint("127.0.0.1", port, "worker")
-        reply = ep.request(env, timeout=10.0)
+        with TcpEndpoint("127.0.0.1", port, "worker") as ep:
+            reply = ep.request(env, timeout=10.0)
         assert reply.kind == "FIT_RESPONSE"
     finally:
         proc.terminate()

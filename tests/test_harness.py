@@ -176,12 +176,15 @@ def test_reports_are_deterministic_across_runs():
     assert h3 != h1
 
 
-def test_tcp_transport_changes_nothing_numeric():
+def test_tcp_transport_changes_nothing_numeric(connections):
     cfg = ExperimentConfig.from_dict(_chain_raw())
     inproc = run_experiment(cfg)
     tcp = run_experiment(dataclasses.replace(cfg, transport="tcp"))
     assert _strip_volatile(inproc.replications) \
         == _strip_volatile(tcp.replications)
+    # one kept connection per assistant, each closed when the run ends
+    assert len(connections) == 2
+    assert all(conn.fileno() == -1 for conn in connections)
 
 
 def test_single_group_runs_without_assistants():

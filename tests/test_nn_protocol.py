@@ -193,9 +193,8 @@ def test_tcp_training_is_bit_identical_to_in_process():
     inproc = run_nn_learning(alice, local_ep, labels, cfg, task_id="wire")
 
     alice2, bob2, _ = _two_party(n=100, seed=37)
-    with serve_module(bob2) as server:
-        tcp = run_nn_learning(alice2, server.endpoint(), labels, cfg,
-                              task_id="wire")
+    with serve_module(bob2) as server, server.endpoint() as bob_ep:
+        tcp = run_nn_learning(alice2, bob_ep, labels, cfg, task_id="wire")
         assert tcp.validation_history == inproc.validation_history
         assert tcp.best_round == inproc.best_round
         w_tcp, shared_tcp = tcp.alice_rounds[tcp.best_round]
@@ -204,7 +203,7 @@ def test_tcp_training_is_bit_identical_to_in_process():
         assert np.array_equal(shared_tcp.w_out, shared_in.w_out)
         ids = inproc.train_ids[:6]
         a = nn_predict(inproc, alice, local_ep, ids)
-        b = nn_predict(tcp, alice2, server.endpoint(), ids)
+        b = nn_predict(tcp, alice2, bob_ep, ids)
         assert np.array_equal(a, b)
 
 

@@ -895,6 +895,7 @@ def test_unknown_id_set_is_a_typed_error_and_fit_stores_nothing(over_tcp):
         assert list(module.model_store) == [("t", 1)]
     finally:
         if server is not None:
+            ep.close()
             server.stop()
 
 
@@ -963,6 +964,7 @@ def test_an_evicted_id_set_is_resent_once_with_the_same_bits(monkeypatch,
         assert responder._id_set_size == 40 and len(responder._id_sets) == 1
     finally:
         if server is not None:
+            ep._inner.close()
             server.stop()
 
 
@@ -1022,33 +1024,155 @@ def test_tcp_round_trip_matches_in_process():
     y = np.random.default_rng(9).standard_normal(20)
     direct = ModuleResponder(module_a).handle(
         _fit_env(module_a, module_a.partition.ids, y))
-    with serve_module(module_b) as server:
-        over_wire = server.endpoint().request(
-            _fit_env(module_b, module_b.partition.ids, y))
+    with serve_module(module_b) as server, server.endpoint() as ep:
+        over_wire = ep.request(_fit_env(module_b, module_b.partition.ids, y))
     assert encode(over_wire) == encode(direct)  # identical bytes
 
 
-def test_tcp_many_requests_and_threads():
+def test_tcp_many_requests_and_threads(connections):
+    """Threads sharing one endpoint take turns on its one connection, and
+    each gets the replies to its own requests."""
     module = _module(seed=10, n=30)
-    y = list(np.zeros(30))
+    ids = module.partition.ids
+    failures = []
     with serve_module(module) as server:
         ep = server.endpoint()
-        replies = {}
 
-        def light_up(task):
-            env = Envelope(kind="FIT_REQUEST", task=task, round=1,
-                           sender="a", receiver="srv",
-                           payload={"ids": list(module.partition.ids),
-                                    "values": y})
-            replies[task] = ep.request(env).kind
+        def light_up(w):
+            task, mine = f"task-{w}", list(ids[w:w + 20])
+            try:
+                for round_no in range(1, 6):
+                    reply = ep.request(_fit_env(module, mine, np.zeros(20),
+                                                round_no=round_no, task=task))
+                    if (reply.kind, reply.task, reply.round,
+                            reply.payload["ids"]) != ("FIT_RESPONSE", task,
+                                                      round_no, mine):
+                        failures.append((w, round_no, reply.kind))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append((w, repr(exc)))
 
-        threads = [threading.Thread(target=light_up, args=(f"task-{i}",))
-                   for i in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    assert set(replies.values()) == {"FIT_RESPONSE"}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=light_up, args=(w,))
+                       for w in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        ep.close()
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(module.model_store) == 30
+    assert len(connections) == 1 and connections[0].fileno() == -1
+
+
+def test_sequential_requests_reuse_one_connection(connections):
+    module = _module(seed=19)
+    ids = module.partition.ids
+    with serve_module(module) as server:
+        with server.endpoint() as ep:
+            for round_no in range(1, 11):
+                reply = ep.request(_fit_env(module, ids, np.zeros(20),
+                                            round_no=round_no))
+                assert (reply.kind, reply.round) == ("FIT_RESPONSE", round_no)
+            assert len(connections) == 1
+            ep.close()  # the next request opens a new connection
+            assert connections[0].fileno() == -1
+            assert ep.request(_fit_env(module, ids, np.zeros(20),
+                                       round_no=11)).kind == "FIT_RESPONSE"
+        assert len(connections) == 2 and connections[1].fileno() == -1
+
+
+def test_a_timed_out_request_never_answers_the_next_one(monkeypatch,
+                                                        connections):
+    module = _module(seed=20)
+    ids = list(module.partition.ids)
+    with serve_module(module) as server:
+        answer = server.responder.answer
+
+        def slow_answer(request, stream=None):
+            reply = answer(request, stream)
+            if reply.task == "slow":
+                time.sleep(0.5)
+            return reply
+        monkeypatch.setattr(server.responder, "answer", slow_answer)
+        ep = server.endpoint()
+        with pytest.raises(err.RequestTimeout):
+            ep.request(_fit_env(module, ids[:5], np.zeros(5), task="slow"),
+                       timeout=0.2)
+        reply = ep.request(_fit_env(module, ids[5:12], np.ones(7),
+                                    task="fast"), timeout=5.0)
+        assert (reply.kind, reply.task) == ("FIT_RESPONSE", "fast")
+        assert reply.payload["ids"] == ids[5:12]
+        assert len(connections) == 2 and connections[0].fileno() == -1
+        ep.close()
+
+
+def test_a_connection_closed_by_the_idle_timeout_is_replaced(monkeypatch,
+                                                            connections):
+    monkeypatch.setattr(transport._LineHandler, "timeout", 0.2)
+    module = _module(seed=21)
+    ids = module.partition.ids
+    with serve_module(module) as server:
+        ep = server.endpoint()
+        assert ep.request(_fit_env(module, ids, np.zeros(20))).kind \
+            == "FIT_RESPONSE"
+        time.sleep(0.5)  # the server closes the idle connection
+        reply = ep.request(_fit_env(module, ids, np.ones(20), round_no=2))
+        assert (reply.kind, reply.round) == ("FIT_RESPONSE", 2)
+        assert len(connections) == 2
+        ep.close()
+    assert sorted(module.model_store) == [("t", 1), ("t", 2)]
+
+
+@pytest.mark.parametrize("kind, fresh, breaks, sent", [
+    ("FIT_REQUEST", False, 1, 1),      # never resent
+    ("PREDICT_REQUEST", False, 1, 2),  # resent once, then answered
+    ("PREDICT_REQUEST", False, 2, 2),  # resent only once
+    ("PREDICT_REQUEST", True, 1, 1),   # a fresh connection is not resent
+])
+def test_only_a_repeatable_request_is_resent_after_a_break(
+        monkeypatch, connections, kind, fresh, breaks, sent):
+    """The server handles the request, then drops the connection without a
+    reply ``breaks`` times."""
+    module = _module(seed=22)
+    ids = list(module.partition.ids)
+    with serve_module(module) as server:
+        answer, handled = server.responder.answer, []
+
+        def breaking_answer(request, stream=None):
+            reply = answer(request, stream)
+            if reply.round > 1 or reply.kind == "PREDICT_RESPONSE":
+                handled.append(reply.kind)
+                if len(handled) <= breaks:
+                    raise ConnectionResetError("dropped before the reply")
+            return reply
+        # a handler binds ``answer`` when its connection opens
+        monkeypatch.setattr(server.responder, "answer", breaking_answer)
+        ep = server.endpoint()
+        assert ep.request(_fit_env(module, ids, np.zeros(20))).kind \
+            == "FIT_RESPONSE"
+        if fresh:
+            ep.close()
+        if kind == "FIT_REQUEST":
+            env = _fit_env(module, ids, np.ones(20), round_no=2)
+        else:
+            env = Envelope(kind=kind, task="t", round=0, sender="alice",
+                           receiver="m", payload={"ids": ids, "rounds": [1]})
+        if breaks < sent:
+            assert ep.request(env, timeout=5.0).kind == "PREDICT_RESPONSE"
+        else:
+            with pytest.raises(err.TransportError):
+                ep.request(env, timeout=5.0)
+        ep.close()
+    assert len(handled) == sent
+    assert "ERROR" not in handled  # a resent FIT would be a StorageConflict
+    assert len(connections) == sent + fresh
+    assert sorted(module.model_store) == [("t", 1)] \
+        + [("t", 2)] * (kind == "FIT_REQUEST")
 
 
 def test_tcp_bind_conflict_raises():
@@ -1104,8 +1228,9 @@ def test_tcp_survives_garbage_lines():
             assert line, "server must always reply"
             assert decode(line).kind == "ERROR"
         # and it still serves real work afterwards
-        good = server.endpoint().request(
-            _fit_env(module, module.partition.ids, list(np.zeros(20))))
+        with server.endpoint() as ep:
+            good = ep.request(
+                _fit_env(module, module.partition.ids, list(np.zeros(20))))
         assert good.kind == "FIT_RESPONSE"
 
 
@@ -1186,9 +1311,10 @@ def test_a_huge_declared_frame_costs_only_the_bytes_that_arrive(caplog):
                     conn.shutdown(socket.SHUT_WR)
                     reply = decode(conn.makefile("rb").readline())
                     assert reply.payload["error"] == "MalformedMessage"
-            good = server.endpoint().request(
-                _fit_env(module, module.partition.ids, np.zeros(20)),
-                timeout=5.0)
+            with server.endpoint() as ep:
+                good = ep.request(
+                    _fit_env(module, module.partition.ids, np.zeros(20)),
+                    timeout=5.0)
             assert good.kind == "FIT_RESPONSE"
     assert not caplog.records  # stop() joined every handler first
 
