@@ -63,7 +63,7 @@ class StorageConflict(AssistError):
 
 
 class UnknownRound(AssistError):
-    """A prediction was requested for a round with no recorded model."""
+    """A request named a round with no recorded model or weights."""
 
 
 class MissingTestRows(AssistError):

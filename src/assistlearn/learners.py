@@ -39,6 +39,7 @@ from .errors import DimensionMismatch, NonFiniteLoss
 
 LEARNER_KINDS = ("least_squares", "ridge", "regression_tree",
                  "gradient_boosting", "dense_net")
+_SELECT_HEIGHT = 3  # see _tree_apply
 
 _DEFAULTS = {
     "least_squares": {"lam": 0.0},
@@ -125,17 +126,28 @@ class LinearModel(FittedModel):
         return X @ self.coef + self.intercept
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     value: float
     feature: Optional[int] = None
     threshold: float = 0.0
     left: Optional["_Node"] = None
     right: Optional["_Node"] = None
+    height: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        if not self.is_leaf:
+            self.height = 1 + max(self.left.height, self.right.height)
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
+
+    def select(self, X: np.ndarray):
+        if self.is_leaf:
+            return self.value
+        return np.where(X[:, self.feature] <= self.threshold,
+                        self.left.select(X), self.right.select(X))
 
 
 @dataclass
@@ -361,14 +373,22 @@ def _best_split(vs, yo, parent, min_leaf):
 
 
 def _tree_apply(root: _Node, X: np.ndarray) -> np.ndarray:
+    """Leaf value of each row of X; ``x <= threshold`` goes left, NaN right.
+
+    A subtree at most ``_SELECT_HEIGHT`` tall routes its rows by nested
+    ``np.where`` selects (``_Node.select``), a pass per node; a taller one
+    splits by index, so deep trees stay O(depth x rows), not O(nodes x rows).
+    """
+    if root.height <= _SELECT_HEIGHT:
+        return root.select(X) if root.height else np.full(len(X), root.value)
     out = np.empty(X.shape[0], dtype=np.float64)
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            out[idx] = node.value
+        if node.height <= _SELECT_HEIGHT:
+            out[idx] = node.select(X[idx])
         else:
             mask = X[idx, node.feature] <= node.threshold
             stack.append((node.left, idx[mask]))

@@ -533,10 +533,18 @@ class ModuleResponder:
         except ValueError as exc:
             raise err.MalformedMessage(f"WTILDE_TRANSFER: {exc}") from None
         # the peer's round and shapes are checked before any arithmetic
-        weights = svc.latest_weights()
-        width = weights.shape[1]
         if env.round % 2:
             raise err.MalformedMessage(f"round {env.round} is Alice's")
+        latest = max(svc.snapshots)
+        if env.round <= latest:
+            raise err.StorageConflict(
+                f"round {env.round} is done; the latest is {latest}")
+        if env.round > latest + 2:
+            raise err.UnknownRound(
+                f"round {env.round} needs round {env.round - 2}'s block; "
+                f"the latest is {latest}")
+        weights = svc.snapshots[latest]
+        width = weights.shape[1]
         ids, X, _ = self._id_rows(env)
         if (p["matrix"].shape, p["b_hidden"].shape, p["w_out"].shape) \
                 != ((len(ids), width), (width,), (width,)):
@@ -562,9 +570,6 @@ class _NnTaskService:
         if not usable:
             raise err.UnknownRound(f"no weights at round {round_no}")
         return self.snapshots[max(usable)]
-
-    def latest_weights(self) -> np.ndarray:
-        return self.snapshots[max(self.snapshots)]
 
 
 # ---------------------------------------------------------------------------

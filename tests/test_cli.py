@@ -165,4 +165,4 @@ def test_serve_subprocess_answers_requests(tmp_path):
         assert reply.kind == "FIT_RESPONSE"
     finally:
         proc.terminate()
-        proc.wait(timeout=10.0)
+        proc.communicate(timeout=10.0)  # reads and closes both pipes

@@ -344,6 +344,116 @@ def test_boosting_matches_the_per_node_reference_grower(name, X, y):
         assert predict(model, X).tobytes() == pred.tobytes()
 
 
+# The index-partition router that select composition replaced: each node
+# gathers its column for its rows, compares, and splits the row indices.
+# The new router must give the same bytes on every tree and input.
+
+def _ref_tree_apply(root, X):
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] = node.value
+        else:
+            mask = X[idx, node.feature] <= node.threshold
+            stack.append((node.left, idx[mask]))
+            stack.append((node.right, idx[~mask]))
+    return out
+
+
+_GRID = np.arange(-4.0, 4.5, 0.5)   # X's values and the thresholds both
+
+
+def _random_tree(rng, depth, p, leaf_chance):
+    """A tree at most ``depth`` tall whose root splits; below the root each
+    node is a leaf with ``leaf_chance``, so leaves sit at every level."""
+    def grow(d, top):
+        if d == 0 or (not top and rng.random() < leaf_chance):
+            return _Node(value=float(rng.standard_normal()))
+        return _Node(value=0.0, feature=int(rng.integers(p)),
+                     threshold=float(rng.choice(_GRID)),
+                     left=grow(d - 1, False), right=grow(d - 1, False))
+    return grow(depth, True)
+
+
+def _spine(depth, p):
+    """A tree ``depth`` tall with one leaf beside every split, alternating
+    sides: the most lopsided shape, crossing every height once."""
+    node = _Node(value=-1.0)
+    for d in range(depth):
+        leaf = _Node(value=float(d))
+        kids = (leaf, node) if d % 2 else (node, leaf)
+        node = _Node(value=0.0, feature=d % p, threshold=_GRID[d],
+                     left=kids[0], right=kids[1])
+    return node
+
+
+def _grid_rows(rng, n, p):
+    """Rows on the threshold grid (so many sit exactly at a threshold), with
+    some NaN features."""
+    X = rng.choice(_GRID, size=(n, p))
+    X[rng.random((n, p)) < 0.1] = np.nan
+    return X
+
+
+def _assert_routes_like_the_reference(tree, X):
+    got, expect = _tree_apply(tree, X), _ref_tree_apply(tree, X)
+    assert got.dtype == np.float64 and got.shape == (X.shape[0],)
+    assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_tree_routing_matches_the_index_partition_reference(depth):
+    rng = np.random.default_rng(40 + depth)
+    p = 3
+    trees = [_random_tree(rng, depth, p, 0.0), _spine(depth, p)] + [
+        _random_tree(rng, depth, p, 0.3) for _ in range(6)]
+    assert trees[0].height == trees[1].height == depth
+    for tree in trees:
+        for n in (0, 1, 2, 57, 3000):
+            _assert_routes_like_the_reference(tree, _grid_rows(rng, n, p))
+
+
+def test_tree_routing_edge_cases():
+    node = _Node(value=0.0, feature=0, threshold=0.5,
+                 left=_Node(value=1.0), right=_Node(value=2.0))
+    assert (node.height, node.left.height) == (1, 0)
+    at = np.array([[0.5], [np.nextafter(0.5, 1.0)], [np.nan], [-np.inf]])
+    # a row exactly at the threshold goes left; NaN compares false: right
+    assert _tree_apply(node, at).tolist() == [1.0, 2.0, 2.0, 1.0]
+    deep = _spine(8, 2)
+    assert deep.height == 8
+    for X in (np.empty((0, 2)), np.array([[0.5, -4.0]]),
+              np.full((3, 2), np.nan), np.array([[-4.0, -3.5], [3.0, 3.0]])):
+        for tree in (node, deep):
+            _assert_routes_like_the_reference(tree, X)
+    leaf = _Node(value=3.25)
+    for X in (np.empty((0, 0)), np.empty((4, 0)), np.ones((1, 2))):
+        _assert_routes_like_the_reference(leaf, X)
+
+
+def test_boosting_predict_is_the_in_order_sum_of_its_trees():
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((300, 3))
+    y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2] \
+        + 0.1 * rng.standard_normal(300)
+    test = rng.standard_normal((500, 3))
+    test[::17, 1] = np.nan
+    test[5] = X[7]
+    for depth in (1, 3, 4, 7):
+        model = fit_gradient_boosting(X, y, stages=12, max_depth=depth,
+                                      min_leaf=3, shrinkage=0.3)
+        assert max(t.height for t in model.trees) == depth
+        for rows in (X, test):
+            expect = np.full(rows.shape[0], model.base_value)
+            for tree in model.trees:
+                expect += model.shrinkage * _ref_tree_apply(tree, rows)
+            assert predict(model, rows).tobytes() == expect.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # gradient boosting
 # ---------------------------------------------------------------------------

@@ -650,6 +650,45 @@ def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
     assert list(responder._nn["t"].snapshots) == [0]  # nothing trained
 
 
+def test_an_out_of_order_wtilde_transfer_changes_nothing(caplog):
+    module = _module(seed=8)
+    responder = ModuleResponder(module)
+    ids = list(module.partition.ids[:10])
+    assert responder.answer(Envelope(
+        kind="LABELS_TRANSFER", task="t", round=0, sender="alice",
+        receiver="m", payload={"ids": ids, "values": np.arange(10.0),
+                               "seed": 1, "hidden": 3, "peer_cols": 2})
+    ).kind == "LABELS_TRANSFER"
+
+    def wtilde(round_no):
+        return responder.answer(Envelope(
+            kind="WTILDE_TRANSFER", task="t", round=round_no, sender="alice",
+            receiver="m", payload={"ids": ids,
+                                   "matrix": np.full((10, 3), 0.1),
+                                   "b_hidden": np.zeros(3),
+                                   "w_out": np.full(3, 0.1), "b_out": 0.0,
+                                   "rate": 0.05, "batch": 2, "epochs": 1}))
+
+    assert wtilde(2).kind == "WTILDE_TRANSFER"
+    snapshots = responder._nn["t"].snapshots
+    kept = {r: w.copy() for r, w in snapshots.items()}
+    # round 2 sent again or round 0 replayed: done rounds are never retrained;
+    # round 6 before round 4: its starting block does not exist yet
+    with caplog.at_level(logging.ERROR, logger="assistlearn"):
+        for round_no, error in ((2, "StorageConflict"),
+                                (0, "StorageConflict"),
+                                (6, "UnknownRound")):
+            reply = wtilde(round_no)
+            assert reply.kind == "ERROR"
+            assert reply.payload["error"] == error
+            assert snapshots.keys() == kept.keys()
+            assert all(np.array_equal(snapshots[r], w)
+                       for r, w in kept.items())
+    assert not caplog.records
+    assert wtilde(4).kind == "WTILDE_TRANSFER"
+    assert sorted(snapshots) == [0, 2, 4]
+
+
 def test_a_repeated_labels_transfer_is_a_retry_or_a_conflict():
     module = _module(seed=8)
     responder = ModuleResponder(module)
