@@ -94,6 +94,13 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown keys" in capsys.readouterr().err
 
 
+def test_run_rejects_a_non_integer_learner_count(tmp_path, capsys):
+    body = {**CHAIN_CONFIG, "learners": "dense_net:hidden=16.0"}
+    assert main(["run", "--config", _write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "hidden must be an integer" in err
+
+
 def test_compare_stacking_prints_a_table(tmp_path, capsys):
     body = dict(CHAIN_CONFIG)
     body["cells"] = [{"name": "LR", "al": "least_squares",

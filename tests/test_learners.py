@@ -1,9 +1,11 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from assistlearn.core import derive_seed
 from assistlearn.errors import DimensionMismatch, NonFiniteLoss
 from assistlearn.learners import (LEARNER_KINDS, LearnerSpec, _Node,
                                   _tree_apply, dense_init,
@@ -532,6 +534,57 @@ def test_fit_functions_and_spec_share_each_boundary(kind, fit, name, ok, bad):
     assert str(from_fit.value) == str(from_spec.value)
 
 
+# (kind, fit function, a parameter that must be an integer)
+_INTEGER_PARAMS = [
+    ("regression_tree", fit_regression_tree, "max_depth"),
+    ("regression_tree", fit_regression_tree, "min_leaf"),
+    ("gradient_boosting", fit_gradient_boosting, "stages"),
+    ("gradient_boosting", fit_gradient_boosting, "max_depth"),
+    ("gradient_boosting", fit_gradient_boosting, "min_leaf"),
+    ("dense_net", fit_dense_net, "hidden"),
+    ("dense_net", fit_dense_net, "batch"),
+    ("dense_net", fit_dense_net, "epochs"),
+    ("dense_net", fit_dense_net, "seed"),
+]
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"],
+                         ids=["integral-float", "float", "bool", "str"])
+@pytest.mark.parametrize("kind, fit, name", _INTEGER_PARAMS,
+                         ids=[f"{b[0]}-{b[2]}" for b in _INTEGER_PARAMS])
+def test_counts_and_seeds_must_be_integers(kind, fit, name, bad):
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.arange(6.0)
+    assert LearnerSpec(kind, {name: 2}).params[name] == 2
+    assert LearnerSpec(kind, {name: np.int64(2)}).params[name] == 2
+    with pytest.raises(ValueError, match=f"^{name} must be an integer") \
+            as from_spec:
+        LearnerSpec(kind, {name: bad})
+    with pytest.raises(ValueError) as from_fit:
+        fit(X, y, **{name: bad})
+    assert str(from_fit.value) == str(from_spec.value)
+
+
+def test_spec_strings_with_fractional_counts_are_refused():
+    for text in ("dense_net:hidden=16.0", "dense_net:batch=8.5",
+                 "dense_net:epochs=2.0", "dense_net:seed=1.5",
+                 "gradient_boosting:stages=3.5",
+                 "regression_tree:min_leaf=2.5",
+                 "regression_tree:max_depth=2.5"):
+        name = text.partition(":")[2].partition("=")[0]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            LearnerSpec.from_string(text)
+    assert LearnerSpec.from_string("dense_net:hidden=16").params["hidden"] == 16
+
+
+def test_float_parameters_still_take_integers():
+    assert LearnerSpec("ridge", {"lam": 2}).params["lam"] == 2
+    assert LearnerSpec("gradient_boosting",
+                       {"shrinkage": 1}).params["shrinkage"] == 1
+    assert LearnerSpec.from_string("dense_net:rate=1").params["rate"] == 1
+    fit_dense_net(np.ones((4, 1)), np.ones(4), rate=1, epochs=1)
+
+
 # ---------------------------------------------------------------------------
 # dense net
 # ---------------------------------------------------------------------------
@@ -591,6 +644,152 @@ def test_sgd_round_slicing_matches_uncut_run():
                             first_epoch=2 * k)
     for a, b in zip(whole, sliced):
         assert np.array_equal(np.asarray(a), np.asarray(b))
+
+
+# A plain SGD loop over separate parameter arrays, gathering each batch by
+# fancy indexing: the oracle that sgd_epochs must match byte for byte.
+
+def _oracle_loss_and_grads(X, offset, y, w_in, b_hidden, w_out, b_out):
+    n = y.shape[0]
+    z = X @ w_in + b_hidden
+    if offset is not None:
+        z = z + offset
+    h = np.tanh(z)
+    pred = h @ w_out + b_out
+    err = pred - y
+    loss = float(np.mean(err * err))
+    d = (2.0 / n) * err
+    g_wout = h.T @ d
+    g_bout = float(d.sum())
+    dz = np.outer(d, w_out) * (1.0 - h * h)
+    g_win = X.T @ dz
+    g_bhid = dz.sum(axis=0)
+    return loss, (g_win, g_bhid, g_wout, g_bout)
+
+
+def _oracle_sgd_epochs(X, offset, y, params, rate, batch, epochs, seed,
+                       first_epoch=0):
+    w_in, b_hidden, w_out, b_out = (np.array(params[0], dtype=np.float64),
+                                    np.array(params[1], dtype=np.float64),
+                                    np.array(params[2], dtype=np.float64),
+                                    float(params[3]))
+    n = y.shape[0]
+    for e in range(first_epoch, first_epoch + epochs):
+        if batch >= n:
+            order = np.arange(n)
+        else:
+            order = np.random.default_rng(
+                derive_seed(seed, "epoch", e)).permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            xb = X[idx]
+            ob = offset[idx] if offset is not None else None
+            loss, (g_win, g_bhid, g_wout, g_bout) = _oracle_loss_and_grads(
+                xb, ob, y[idx], w_in, b_hidden, w_out, b_out)
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(f"loss diverged at epoch {e}")
+            w_in -= rate * g_win
+            b_hidden -= rate * g_bhid
+            w_out -= rate * g_wout
+            b_out -= rate * g_bout
+    return w_in, b_hidden, w_out, b_out
+
+
+def _sgd_case(cols, offset, n):
+    rng = np.random.default_rng([cols, n, int(offset)])
+    X = rng.standard_normal((n, cols))
+    y = rng.standard_normal(n)
+    off = 0.5 * rng.standard_normal((n, 16)) if offset else None
+    w_in, _, w_out, _ = dense_init(cols, 16, seed=n)
+    # nonzero biases, so every parameter block carries its own bits
+    params = (w_in, 0.1 * rng.standard_normal(16), w_out, 0.25)
+    return X, off, y, params
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# (rows, batch, first_epoch): a short last batch, a full batch (no
+# shuffle) and a run that starts at a later epoch
+_SGD_SHAPES = [(100, 16, 0), (40, 64, 0), (96, 32, 3)]
+
+
+@pytest.mark.parametrize("n, batch, first", _SGD_SHAPES,
+                         ids=["short-last-batch", "no-shuffle", "first-epoch"])
+@pytest.mark.parametrize("offset", [False, True], ids=["own", "offset"])
+@pytest.mark.parametrize("cols", [0, 1, 3])
+def test_sgd_epochs_matches_the_oracle_byte_for_byte(cols, offset, n, batch,
+                                                     first):
+    X, off, y, params = _sgd_case(cols, offset, n)
+    want = _oracle_sgd_epochs(X, off, y, params, 0.05, batch, 3, seed=4,
+                              first_epoch=first)
+    got = sgd_epochs(X, off, y, params, 0.05, batch, 3, seed=4,
+                     first_epoch=first)
+    _assert_same_bytes(got, want)
+    assert isinstance(got[3], float)
+
+
+@pytest.mark.parametrize("offset", [False, True], ids=["own", "offset"])
+def test_dense_loss_and_grads_matches_the_oracle(offset):
+    X, off, y, params = _sgd_case(3, offset, 24)
+    want_loss, want = _oracle_loss_and_grads(X, off, y, *params)
+    loss, got = dense_loss_and_grads(X, off, y, *params)
+    assert loss == want_loss
+    _assert_same_bytes(got, want)
+    # caller-given gradient views are filled in place with the same bytes
+    views = (np.empty((3, 16)), np.empty(16), np.empty(16), np.empty(1))
+    _, into = dense_loss_and_grads(X, off, y, *params, grads=views)
+    _assert_same_bytes(into, want)
+    assert views[3][0] == want[3]
+    for view, grad in zip(views[:3], into[:3]):
+        assert view is grad
+
+
+def test_sgd_epochs_leaves_read_only_inputs_alone():
+    # envelope frames arrive as read-only arrays
+    X, off, y, params = _sgd_case(2, True, 50)
+    arrays = [X, off, y, *params[:3]]
+    before = [a.copy() for a in arrays]
+    for a in arrays:
+        a.flags.writeable = False
+    got = sgd_epochs(X, off, y, params, 0.05, 16, 2, seed=1)
+    for a, b in zip(arrays, before):
+        assert a.tobytes() == b.tobytes()
+    for out, given in zip(got[:3], params[:3]):
+        assert out.flags.writeable
+        assert not np.shares_memory(out, given)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert not np.shares_memory(got[a], got[b])
+    # zero epochs still hands back fresh copies
+    idle = sgd_epochs(X, off, y, params, 0.05, 16, 0, seed=1)
+    _assert_same_bytes(idle, params)
+    for out, given in zip(idle[:3], params[:3]):
+        assert out.flags.writeable and not np.shares_memory(out, given)
+
+
+def test_sgd_divergence_names_the_oracle_epoch():
+    X, off, y, params = _sgd_case(3, True, 64)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteLoss) as want:
+            _oracle_sgd_epochs(X, off, y, params, 1e12, 16, 6, seed=2,
+                               first_epoch=5)
+        with pytest.raises(NonFiniteLoss) as got:
+            sgd_epochs(X, off, y, params, 1e12, 16, 6, seed=2,
+                       first_epoch=5)
+    assert str(got.value) == str(want.value)
+    assert "epoch" in str(got.value)
+
+
+def test_sgd_epochs_refuses_mismatched_shared_vectors():
+    X, off, y, (w_in, b_hid, w_out, b_out) = _sgd_case(2, False, 20)
+    with pytest.raises(DimensionMismatch):
+        sgd_epochs(X, off, y, (w_in, b_hid[:-1], w_out, b_out), 0.05, 8, 1,
+                   seed=0)
 
 
 def test_dense_net_training_reduces_loss_deterministically():
