@@ -35,18 +35,33 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def id_frame(ids: Sequence[SampleId]) -> bytes:
+    """The ids joined by newlines in UTF-8, the wire's id frame; ValueError
+    unless each is a non-empty str with no newline that encodes as UTF-8,
+    which makes the frame injective. One join checks every id."""
+    try:
+        frame = "\n".join(ids).encode("utf-8")
+    except (TypeError, UnicodeEncodeError) as exc:
+        raise ValueError(f"sample ids must be UTF-8 str: {exc}") from None
+    if not all(ids) or ids and frame.count(b"\n") != len(ids) - 1:
+        raise ValueError("empty sample id, or one with a newline")
+    return frame
+
+
 def _as_id_tuple(ids) -> tuple[SampleId, ...]:
-    """The ids as a tuple of str; a tuple of exact strs is kept as it is."""
+    """The ids, checked by ``id_frame``, as a tuple of plain strs."""
     ids = tuple(ids)
+    id_frame(ids)
     if set(map(type, ids)) <= {str}:
         return ids
-    return tuple(str(i) for i in ids)
+    return tuple(map(str.__str__, ids))
 
 
 # construction problems are caller bugs, not protocol events: plain ValueError
 @dataclass(frozen=True, eq=False)
 class FeaturePartition:
-    """One participant's vertical slice: ids, a float64 matrix, column names."""
+    """One participant's vertical slice: ids, a float64 matrix, column names.
+    Any id that ``id_frame`` refuses is a ValueError, as in TaskLabels."""
 
     ids: tuple[SampleId, ...]
     features: np.ndarray
@@ -69,8 +84,6 @@ class FeaturePartition:
             )
         if len(set(names)) != len(names):
             raise ValueError("feature names must be unique")
-        if not all(ids):
-            raise ValueError("empty sample id")
         row_of = dict(zip(ids, range(len(ids))))
         if len(row_of) != len(ids):
             raise DuplicateId("duplicate sample ids in partition")

@@ -22,10 +22,9 @@ net: every round is hers and the arithmetic matches fit_dense_net exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,8 +123,10 @@ class NnTrainResult:
     task_id: str
     alice_cols: int
     bob_cols: int
-    alice_rounds: dict = dataclasses.field(default_factory=dict, repr=False)
+    alice_rounds: dict = field(default_factory=dict, repr=False)
     round_seconds: tuple[float, ...] = ()
+    # the task's id-set record, which every stage call of the task shares
+    known: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
                          holdout_ids=tuple(hold_ids), task_id=task_id,
                          alice_cols=p_alice, bob_cols=p_bob,
                          alice_rounds=snapshots,
-                         round_seconds=tuple(timings))
+                         round_seconds=tuple(timings), known=known)
 
 
 def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
@@ -267,7 +268,7 @@ def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
             f"round {round_no} was never executed") from None
     other = None
     if result.bob_cols > 0:
-        other = _fetch_partial(bob_ep, {}, alice.module_id,
+        other = _fetch_partial(bob_ep, result.known, alice.module_id,
                                result.task_id, round_no, ids,
                                len(shared.b_hidden), timeout)
     return dense_forward(X, other, w_alice, shared.b_hidden,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,6 +62,8 @@ class TrainedTask:
     holdout_ids: tuple[str, ...]
     records: tuple[RoundRecord, ...]
     best_round: int
+    # the task's id-set record, which every stage call of the task shares
+    known: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def validation_history(self) -> list[float]:
@@ -233,7 +235,7 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
                        train_ids=tuple(train_ids),
                        holdout_ids=tuple(hold_ids),
                        records=tuple(records),
-                       best_round=argmin_round(history))
+                       best_round=argmin_round(history), known=known)
 
 
 def _working_sets(alice, labels, holdout_fraction: float, seed: int):
@@ -292,7 +294,7 @@ def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
     for k in rounds:
         out += predict(alice.stored_model(task.task_id, k), X)
     by_id = {ep.module_id: ep for ep in assistants}
-    known: dict = {}
+    known = task.known
     for module_id in task.module_ids[1:]:
         out += _predict_round_trip(_endpoint_for(by_id, module_id), known,
                                    alice.module_id, task.task_id, rounds, ids,
@@ -309,7 +311,7 @@ def per_round_predictions(task: TrainedTask, alice, assistants, ids,
     """
     X = _alice_rows(alice, ids)
     by_id = {ep.module_id: ep for ep in assistants}
-    known: dict = {}
+    known = task.known
     cum = np.zeros(len(ids))
     rows = []
     for rec in task.records:
@@ -423,13 +425,13 @@ def _ids_roundtrip(endpoint, known: dict, head: dict, ids, payload: dict,
                    timeout: float, expect: str) -> tuple[Envelope, dict]:
     """Send an id-bearing request; return the reply and the id field sent.
 
-    ``known`` is the stage call's record: each id list it has sent maps to
-    the list's digest, computed when first needed, and, per peer, whether
-    the peer holds the list. ``head`` holds the envelope's kind, task,
-    round and sender. A peer that holds the list gets its ``id_set``; any
-    other peer gets the full ``ids``. A peer that has dropped the list
-    answers UnknownIdSet: it gets the full list once more and, since its
-    cache is short of room, in every later request of the stage as well.
+    ``known`` is the task's record: each id list sent maps to the list's
+    digest, computed when first needed, and, per peer, whether the peer
+    holds the list. ``head`` holds the envelope's kind, task, round and
+    sender. A peer that holds the list gets its ``id_set``; any other peer
+    gets the full ``ids``. A peer that has dropped the list answers
+    UnknownIdSet: it gets the full list once more and, since its cache is
+    short of room, in every later request of the task as well.
     """
     ids = tuple(ids)
     entry = known.setdefault(ids, [None, {}])

@@ -1,32 +1,34 @@
 """Message envelopes and transports.
 
-Wire format v3: a compact UTF-8 JSON header line, with exactly the fields
-``v`` (3), ``kind``, ``task``, ``round``, ``from``, ``to`` and ``payload``,
-then the raw little-endian float64 bytes of each float vector or matrix in
-the payload (``values``, ``b_hidden``, ``w_out``, ``matrix``), in sorted
-field-name order with no separator. In the header each such field holds its
-float count, and a matrix also gives its column count as ``cols``. Ids,
-rounds and scalars stay plain JSON. Other versions are refused with
-UnsupportedVersion.
+Wire format v4: a compact UTF-8 JSON header line, with exactly the fields
+``v`` (4), ``kind``, ``task``, ``round``, ``from``, ``to`` and ``payload``,
+then, in sorted field-name order with no separator, the raw little-endian
+float64 bytes of each float vector or matrix (``values``, ``b_hidden``,
+``w_out``, ``matrix``) and the id frame, the ``ids`` joined by newlines in
+UTF-8. The header holds each float field's count, a matrix's column count
+(``cols``), the id count (``ids``) and the id frame's size (``id_bytes``);
+rounds and scalars stay plain JSON. Other versions are UnsupportedVersion.
 
 An Envelope holds each float field as its own read-only float64 copy of the
 caller's array (NaN and infinity refused), which is what ``decode`` rebuilds
-from the frames, so the in-process transport is identical to TCP. Payloads
+from the frames, so the in-process transport is identical to TCP; its
+``ids`` are a list that keeps the frame ``core.id_frame`` checked. Payloads
 are schema-checked per kind: FIT and PREDICT kinds admit only flat vectors
 and only PARTIAL_PREACT and WTILDE_TRANSFER a matrix, which enforces feature
 confinement structurally. ``decode`` checks the header before it touches a
 frame byte: a ``values`` frame must hold one float per id and a matrix one
-row per id (ShapeMismatch). Frame bytes short of the declared counts, or
-left over after them, are MalformedMessage.
+row per id (ShapeMismatch). Frame bytes short of the declared sizes or left
+over after them, and an id frame that is not UTF-8 or does not split into
+the declared ids, are MalformedMessage.
 
 FIT, PREDICT, PARTIAL_PREACT and WTILDE_TRANSFER requests name their ids
 either as ``ids`` or as ``id_set``, the ``id_digest`` of a list the same
-task already sent to this peer: SHA-256 hex of the list's compact JSON
-text, which is injective. Both or neither is MalformedMessage, and a reply
-echoes the form its request used. With an ``id_set`` the frames are checked
-against the ids once they resolve. A responder keeps each task's lists and
-their read-only rows, least recently used first, up to ID_SET_CAP ids; a
-digest it does not hold is UnknownIdSet, raised before any state changes.
+task already sent to this peer: SHA-256 hex of its id frame, which is
+injective. Both or neither is MalformedMessage, and a reply echoes the form
+its request used. With an ``id_set`` the frames are checked against the ids
+once they resolve. A responder keeps each task's lists and their read-only
+rows, least recently used first, up to ID_SET_CAP ids; a digest it does not
+hold is UnknownIdSet, raised before any state changes.
 
 A module serves peers through ``ModuleResponder.answer``, which turns any
 failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
@@ -52,12 +54,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import errors as err
-from .core import LocalModule, TaskLabels, align
+from . import core, errors as err
+from .core import LocalModule, TaskLabels
 
 log = logging.getLogger("assistlearn")
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 # payload fields that travel as float64 frames
 _FRAMES = frozenset({"values", "b_hidden", "w_out", "matrix"})
@@ -73,17 +75,34 @@ _RESENDABLE = frozenset({"PREDICT_REQUEST", "PARTIAL_PREACT"})
 
 
 def id_digest(ids) -> str:
-    """SHA-256 hex of the ids' compact JSON array text (ASCII, so UTF-8)."""
-    text = json.dumps(list(ids), separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """SHA-256 hex of the ids' frame, ``core.id_frame(ids)``."""
+    return hashlib.sha256(core.id_frame(ids)).hexdigest()
 
 
-def _plain(value):
-    """Convert numpy containers to JSON-able python; ban non-finite floats."""
+class _Ids(list):
+    """An Envelope's ids: a list that keeps its checked id frame."""
+
+
+def _id_list(value) -> _Ids:
+    """A list or tuple of ids as ``_Ids``, which a reply shares with its
+    request; anything else, or ids ``core.id_frame`` refuses, is malformed."""
+    if type(value) is _Ids:
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise err.MalformedMessage("ids must be a list or tuple")
+    try:
+        frame = core.id_frame(value)
+    except ValueError as exc:
+        raise err.MalformedMessage(f"ids: {exc}") from None
+    ids = _Ids(value)
+    ids.frame = frame
+    return ids
+
+
+def _plain(value, top=True):
+    """A scalar or a flat list of them as JSON-able python; no NaN or Inf."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
-    if type(value) is list and _all_str(value):  # id lists
-        return list(value)
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
     if isinstance(value, float):
@@ -92,10 +111,8 @@ def _plain(value):
         return value
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+    if top and isinstance(value, (list, tuple)):
+        return [_plain(v, False) for v in value]
     raise err.MalformedMessage(f"unsupported payload value {type(value).__name__}")
 
 
@@ -130,17 +147,8 @@ def _is_array(ndim):
     return lambda v: isinstance(v, np.ndarray) and v.ndim == ndim
 
 
-def _all_str(v):
-    """Whether every element of list ``v`` is a str, in one C-level pass."""
-    try:
-        "".join(v)
-    except TypeError:
-        return False
-    return True
-
-
-def _is_id_list(v):
-    return isinstance(v, list) and _all_str(v) and all(v)
+def _is_list(v):  # ids, which an Envelope checks in ``_id_list``
+    return isinstance(v, list)
 
 
 def _is_int_list(v):
@@ -157,19 +165,19 @@ _ID_SET = {"id_set": _is_digest}
 
 # kind -> (required fields, optional fields)
 _SCHEMAS: dict[str, tuple[dict, dict]] = {
-    "FIT_REQUEST": ({"ids": _is_id_list, "values": _VECTOR}, _ID_SET),
-    "FIT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, _ID_SET),
-    "PREDICT_REQUEST": ({"ids": _is_id_list, "rounds": _is_int_list}, _ID_SET),
-    "PREDICT_RESPONSE": ({"ids": _is_id_list, "values": _VECTOR}, _ID_SET),
-    "PARTIAL_PREACT": ({"ids": _is_id_list}, {"matrix": _MATRIX, **_ID_SET}),
+    "FIT_REQUEST": ({"ids": _is_list, "values": _VECTOR}, _ID_SET),
+    "FIT_RESPONSE": ({"ids": _is_list, "values": _VECTOR}, _ID_SET),
+    "PREDICT_REQUEST": ({"ids": _is_list, "rounds": _is_int_list}, _ID_SET),
+    "PREDICT_RESPONSE": ({"ids": _is_list, "values": _VECTOR}, _ID_SET),
+    "PARTIAL_PREACT": ({"ids": _is_list}, {"matrix": _MATRIX, **_ID_SET}),
     "WTILDE_TRANSFER": (
         {"b_hidden": _VECTOR, "w_out": _VECTOR, "b_out": _is_num},
-        {"ids": _is_id_list, "matrix": _MATRIX, **_ID_SET,
+        {"ids": _is_list, "matrix": _MATRIX, **_ID_SET,
          "rate": _is_num, "batch": _is_int, "epochs": _is_int},
     ),
     "LABELS_TRANSFER": (
         {},
-        {"ids": _is_id_list, "values": _VECTOR, "seed": _is_int,
+        {"ids": _is_list, "values": _VECTOR, "seed": _is_int,
          "hidden": _is_int, "peer_cols": _is_int, "own_cols": _is_int},
     ),
     "ERROR": ({"error": _is_str}, {"message": _is_str}),
@@ -179,7 +187,7 @@ KINDS = frozenset(_SCHEMAS)
 
 def validate_payload(kind: str, payload: dict) -> None:
     """Schema-check a payload as an Envelope holds it (float fields as
-    float64 arrays) for the given kind."""
+    float64 arrays, ids as lists ``_id_list`` checked) for the given kind."""
     if kind not in KINDS:
         raise err.MalformedMessage(f"unknown kind {kind!r}")
     required, optional = _SCHEMAS[kind]
@@ -228,7 +236,8 @@ class Envelope:
                 raise err.MalformedMessage(f"{name} must be a string")
         if not isinstance(self.payload, dict):
             raise err.MalformedMessage("payload must be an object")
-        payload = {str(k): _frame(v) if k in _FRAMES else _plain(v)
+        payload = {str(k): _frame(v) if k in _FRAMES else _id_list(v)
+                   if k == "ids" else _plain(v)
                    for k, v in self.payload.items()}
         validate_payload(self.kind, payload)
         object.__setattr__(self, "payload", payload)
@@ -245,10 +254,13 @@ class Envelope:
 
 
 def encode(envelope: Envelope) -> bytes:
-    """Serialize to the JSON header line followed by the float64 frames."""
+    """Serialize to the JSON header line followed by the frames."""
     payload, frames = {}, {}
     for name, value in envelope.payload.items():
-        if isinstance(value, np.ndarray):
+        if name == "ids":
+            frames[name], payload["id_bytes"] = value.frame, len(value.frame)
+            value = len(value)
+        elif isinstance(value, np.ndarray):
             if value.ndim == 2:
                 payload["cols"] = value.shape[1]
             frames[name] = np.ascontiguousarray(value, dtype="<f8")
@@ -263,20 +275,20 @@ def encode(envelope: Envelope) -> bytes:
 
 
 def _frame_shapes(kind: str, payload: dict) -> dict:
-    """The shape of each float64 frame the header declares, in frame order,
-    checked against the kind and, when the payload carries the list, the
-    ids."""
+    """(byte size, float64 shape) of each frame the header declares, in
+    frame order, checked against the kind and, when the payload carries the
+    list, the id count; the id frame's shape is None."""
     required, optional = _SCHEMAS[kind]
-    ids = payload.get("ids")
-    rows = len(ids) if isinstance(ids, list) else None
+    rows = payload.get("ids")
     shapes = {}
-    for name in sorted(_FRAMES & payload.keys()):
+    for name in sorted((_FRAMES | {"ids"}) & payload.keys()):
         count = payload[name]
         if name not in required and name not in optional:
             raise err.MalformedMessage(f"{kind}: unexpected field {name!r}")
-        if not _is_int(count) or count < 0:
-            raise err.MalformedMessage(f"{name}: not a float count")
-        shapes[name] = (count,)
+        size = payload.pop("id_bytes", None) if name == "ids" else 0
+        if not _is_int(count) or count < 0 or not _is_int(size) or size < 0:
+            raise err.MalformedMessage(f"{name}: not a count, or no id_bytes")
+        shapes[name] = (size, None) if name == "ids" else (8 * count, (count,))
         if name == "matrix":
             cols = payload.pop("cols", None)
             if not _is_int(cols) or cols < 1 \
@@ -285,7 +297,7 @@ def _frame_shapes(kind: str, payload: dict) -> dict:
                     "matrix needs ids or id_set, and cols >= 1")
             if count % cols or rows not in (None, count // cols):
                 raise err.ShapeMismatch(f"{count} floats, {rows} x {cols}")
-            shapes[name] = (count // cols, cols)
+            shapes[name] = (8 * count, (count // cols, cols))
         elif name == "values" and rows not in (None, count):
             raise err.ShapeMismatch(f"{rows} ids but {count} values")
     return shapes
@@ -336,15 +348,26 @@ def decode(data, stream=None) -> Envelope:
     if not isinstance(payload, dict):
         raise err.MalformedMessage("payload must be an object")
     shapes = _frame_shapes(kind, payload)
-    size = 8 * sum(math.prod(shape) for shape in shapes.values())
+    size = sum(nbytes for nbytes, _ in shapes.values())
     raw = memoryview(data)[end:] if stream is None else _read(stream, size)
     if len(raw) != size:
         raise err.MalformedMessage(f"{len(raw)} frame bytes, {size} declared")
     offset = 0
-    for name, shape in shapes.items():
-        count = math.prod(shape)
-        payload[name] = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
-        offset += 8 * count
+    for name, (nbytes, shape) in shapes.items():
+        frame, offset = raw[offset:offset + nbytes], offset + nbytes
+        if shape is not None:
+            payload[name] = np.frombuffer(frame, "<f8").reshape(shape)
+            continue
+        # the frame splits into ids with no newline, and strict UTF-8 gives
+        # back these very bytes, so only the count and empty ids are left
+        try:
+            ids = _Ids(str(frame, "utf-8").split("\n") if nbytes else [])
+        except UnicodeDecodeError as exc:
+            raise err.MalformedMessage(f"id frame not UTF-8: {exc}") from None
+        if len(ids) != payload[name] or not all(ids):
+            raise err.MalformedMessage("id frame: wrong count or an empty id")
+        ids.frame = bytes(frame)
+        payload[name] = ids
     return Envelope(kind=kind, task=body["task"], round=body["round"],
                     sender=body["from"], receiver=body["to"],
                     payload=payload, v=version)
@@ -434,7 +457,8 @@ class ModuleResponder:
         if ("ids" in p) == ("id_set" in p):
             raise err.MalformedMessage(f"{env.kind} needs ids or id_set")
         echo = {"ids": p["ids"]} if "ids" in p else {"id_set": p["id_set"]}
-        key = (env.task, echo.get("id_set") or id_digest(p["ids"]))
+        key = (env.task, echo.get("id_set")
+               or hashlib.sha256(p["ids"].frame).hexdigest())
         with self._guard:
             if key in self._id_sets:
                 self._id_sets.move_to_end(key)
@@ -443,7 +467,7 @@ class ModuleResponder:
             raise err.UnknownIdSet(
                 f"task {env.task!r} has no id set {key[1]}")
         try:
-            rows = align(self.module.partition, p["ids"])
+            rows = core.align(self.module.partition, p["ids"])
         except err.MissingId as exc:
             raise err.MissingTestRows(str(exc)) from None
         rows.flags.writeable = False

@@ -444,18 +444,22 @@ def _accepts(kind, payload) -> bool:
     """Whether any path admits ``payload`` as ``kind``: the schema on the
     arrays an Envelope holds, an Envelope built from the payload, or a wire
     message carrying its float fields as counted frames after the header
-    line (with the column count)."""
+    line (with the column count) and its ids as their frame (with its
+    byte size)."""
     held = {k: np.array(v, dtype=np.float64) if k in _FLOAT_FIELDS else v
             for k, v in payload.items()}
-    wire = dict(payload)
+    wire, frames = dict(payload), {}
     for name in _FLOAT_FIELDS & payload.keys():
         wire[name] = held[name].size
+        frames[name] = held[name].astype("<f8").tobytes()
         if held[name].ndim == 2:
             wire["cols"] = held[name].shape[1]
-    line = json.dumps({"v": 3, "kind": kind, "task": "t", "round": 1,
+    if "ids" in payload:
+        frames["ids"] = "\n".join(payload["ids"]).encode("utf-8")
+        wire["ids"], wire["id_bytes"] = len(payload["ids"]), len(frames["ids"])
+    line = json.dumps({"v": 4, "kind": kind, "task": "t", "round": 1,
                        "from": "a", "to": "b", "payload": wire}) + "\n"
-    frames = b"".join(held[name].astype("<f8").tobytes()
-                      for name in sorted(_FLOAT_FIELDS & payload.keys()))
+    frames = b"".join(frames[name] for name in sorted(frames))
     attempts = (lambda: validate_payload(kind, held),
                 lambda: Envelope(kind=kind, task="t", round=1, sender="a",
                                  receiver="b", payload=payload),

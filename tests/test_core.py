@@ -3,7 +3,7 @@ import pytest
 
 from assistlearn import errors as err
 from assistlearn.core import (FeaturePartition, LocalModule, TaskLabels,
-                              align, derive_seed, vertical_split)
+                              align, derive_seed, id_frame, vertical_split)
 from assistlearn.learners import LearnerSpec
 
 
@@ -90,10 +90,22 @@ class _StrLike(str):
 
 
 def _ref_ids(ids):
-    """The per-element passes the C-level ones replaced: the str ids, and
-    whether any is empty or repeated."""
-    ids = tuple(str(i) for i in ids)
-    return ids, any(not i for i in ids), len(set(ids)) != len(ids)
+    """The per-element reference for the C-level passes: the ids as plain
+    strs with the str subclass's own text, whether any id breaks the frame
+    contract (not a str, empty, a newline, not UTF-8) and whether any
+    repeats."""
+    def bad(i):
+        if not isinstance(i, str) or not i or "\n" in i:
+            return True
+        try:
+            i.encode("utf-8")
+        except UnicodeEncodeError:
+            return True
+        return False
+    if any(bad(i) for i in ids):
+        return None, True, False
+    ids = tuple(i.encode("utf-8").decode("utf-8") for i in ids)
+    return ids, False, len(set(ids)) != len(ids)
 
 
 @pytest.mark.parametrize("ids", [
@@ -110,30 +122,43 @@ def _ref_ids(ids):
     ("a", "b", "a"),
     (True, "True"),
     (),
+    ("a\nb", "c"),
+    ("a", "b\n"),
+    ("\ud800",),
+    ("\u00e9", "\u4e2d", "\U0001f600"),
 ])
 def test_id_validation_matches_per_element_reference(ids):
-    expect, empty, repeated = _ref_ids(ids)
+    expect, bad, repeated = _ref_ids(ids)
     n = len(ids)
     vals = np.arange(float(n))
-    if repeated:
-        with pytest.raises(err.DuplicateId, match="in labels"):
-            TaskLabels(ids=ids, values=vals)
-    else:
-        lab = TaskLabels(ids=ids, values=vals)
-        assert lab.ids == expect and all(type(i) is str for i in lab.ids)
-        assert lab.lookup(expect).tolist() == vals.tolist()
     make_part = lambda: FeaturePartition(  # noqa: E731
         ids=ids, features=vals.reshape(n, 1), feature_names=("u",))
-    if empty:
-        with pytest.raises(ValueError, match="empty sample id"):
-            make_part()
-    elif repeated:
+    make_labels = lambda: TaskLabels(ids=ids, values=vals)  # noqa: E731
+    if bad:
+        for make in (make_part, make_labels):
+            with pytest.raises(ValueError, match="sample id"):
+                make()
+        return
+    if repeated:
+        with pytest.raises(err.DuplicateId, match="in labels"):
+            make_labels()
         with pytest.raises(err.DuplicateId, match="in partition"):
             make_part()
-    else:
-        part = make_part()
-        assert part.ids == expect and all(type(i) is str for i in part.ids)
-        assert part.rows_for(expect).tolist() == list(range(n))
+        return
+    lab = make_labels()
+    assert lab.ids == expect and all(type(i) is str for i in lab.ids)
+    assert lab.lookup(expect).tolist() == vals.tolist()
+    part = make_part()
+    assert part.ids == expect and all(type(i) is str for i in part.ids)
+    assert part.rows_for(expect).tolist() == list(range(n))
+
+
+def test_id_frame_joins_the_ids_with_newlines_in_utf8():
+    assert id_frame(["a", "b\u00e9"]) == "a\nb\u00e9".encode("utf-8")
+    assert id_frame([]) == b"" and id_frame(("x",)) == b"x"
+    for bad in ([""], ["a", ""], ["a\nb"], [1], ["\udc80"]):
+        with pytest.raises(ValueError):
+            id_frame(bad)
 
 
 def test_align_accepts_plain_id_sequences_and_copies():

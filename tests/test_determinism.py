@@ -116,20 +116,22 @@ def _split(wrap):
     nn_protocol.nn_predict(result, alice, bob_ep, test_ids)
 
 
-# (bytes, messages) per kind. Wire v3 sends each float vector or matrix as
-# its raw float64 bytes after the header line, 8 bytes per float where v2's
-# base64 text took 10.67, and the header names only its float count. Within
-# one stage call an id list crosses once per peer; later requests and their
-# replies carry its 64-character digest instead.
+# (bytes, messages) per kind. Wire v4 sends each float vector or matrix as
+# its raw float64 bytes after the header line, 8 bytes per float, and the
+# header names only its float count. An id list crosses as one frame of its
+# ids joined by newlines, so n 8-character ids take 9n - 1 bytes plus
+# "ids" and "id_bytes" counts in the header, where v3's JSON list took
+# 11n + 1. Within one task an id list crosses once per peer; later requests
+# and their replies carry its 64-character digest instead.
 _CHAIN_TRAFFIC = {
-    "FIT_REQUEST": (7646, 6),
-    "FIT_RESPONSE": (7652, 6),
-    "PREDICT_REQUEST": (3320, 12),
-    "PREDICT_RESPONSE": (6392, 12),
+    "FIT_REQUEST": (7292, 6),
+    "FIT_RESPONSE": (7298, 6),
+    "PREDICT_REQUEST": (3124, 12),
+    "PREDICT_RESPONSE": (6196, 12),
 }
 _SPLIT_TRAFFIC = {
-    "LABELS_TRANSFER": (2083, 2),
-    "PARTIAL_PREACT": (16152, 14),
+    "LABELS_TRANSFER": (1906, 2),
+    "PARTIAL_PREACT": (15602, 14),
     "WTILDE_TRANSFER": (7246, 4),
 }
 

@@ -166,6 +166,36 @@ def test_nn_predict_round_selection_and_errors():
         nn_predict(out, alice, ep, ("missing-id",))
 
 
+class _FormLog:
+    """Records each request's kind and id form."""
+
+    def __init__(self, inner):
+        self._inner, self.seen = inner, []
+
+    @property
+    def module_id(self):
+        return self._inner.module_id
+
+    def request(self, env, timeout=30.0):
+        self.seen.append((env.kind, "ids" if "ids" in env.payload
+                          else "id_set" if "id_set" in env.payload else None))
+        return self._inner.request(env, timeout=timeout)
+
+
+def test_predictions_of_one_task_send_an_id_list_in_full_once():
+    alice, bob, labels = _two_party(seed=26)
+    ep = _FormLog(local_endpoint(bob))
+    out = run_nn_learning(alice, ep, labels, _config(max_rounds=3),
+                          task_id="once")
+    ids = out.train_ids[:9]  # a list the task has not sent yet
+    ep.seen.clear()
+    first = [nn_predict(out, alice, ep, ids, upto=k) for k in (1, 2, 3)]
+    again = [nn_predict(out, alice, ep, ids, upto=k) for k in (1, 2, 3)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    assert ep.seen == [("PARTIAL_PREACT", "ids")] \
+        + [("PARTIAL_PREACT", "id_set")] * 5
+
+
 def test_collation_failure_without_shared_ids():
     alice, bob, _ = _two_party(n=40)
     foreign = TaskLabels(ids=("q-1", "q-2"), values=np.array([0.0, 1.0]))

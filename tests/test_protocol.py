@@ -463,7 +463,36 @@ def test_each_stage_sends_an_id_list_in_full_once_per_peer():
         assert {k: n for k, n in counts.items() if k[0] == peer} == {
             (peer, "PREDICT_REQUEST", "ids"): 1,
             (peer, "PREDICT_REQUEST", "id_set"): rounds - 1}
-    # a new stage call sends the lists in full again, with the same bits
+    # a later stage call of the task names the lists by digest, with the
+    # same bits: the record belongs to the task, not to the call
     again = per_round_predictions(task, alice, eps, test_ids)
     assert again.tobytes() == curves.tobytes()
-    assert counts[("bright", "PREDICT_REQUEST", "ids")] == 2
+    assert counts[("bright", "PREDICT_REQUEST", "ids")] == 1
+    assert counts[("bright", "PREDICT_REQUEST", "id_set")] == 2 * rounds - 1
+    predict_stage(task, alice, eps, test_ids)
+    assert counts[("bright", "PREDICT_REQUEST", "ids")] == 1
+    assert counts[("bright", "PREDICT_REQUEST", "id_set")] == 2 * rounds
+
+
+def test_a_fresh_responder_for_the_same_module_predicts_the_same_bits():
+    """The task's record says each peer holds the test ids; a new responder
+    for the same module does not, answers UnknownIdSet, gets the list in
+    full from then on and predicts the same bits."""
+    full, parts, labels = _linear_setup(n=120)
+    alice, eps, helpers = _chain(parts)
+    rounds = 3
+    cfg = ProtocolConfig(max_rounds=rounds, patience=rounds, seed=3)
+    task = run_learning_stage(alice, eps, labels, cfg, task_id="t")
+    test_ids = full.ids[:30]
+    curves = per_round_predictions(task, alice, eps, test_ids)
+    summed = predict_stage(task, alice, eps, test_ids)
+    counts = {}
+    fresh = [_FormCount(local_endpoint(m), counts) for m in helpers]
+    assert per_round_predictions(task, alice, fresh, test_ids).tobytes() \
+        == curves.tobytes()
+    assert predict_stage(task, alice, fresh, test_ids).tobytes() \
+        == summed.tobytes()
+    for peer in ("bright", "carol"):
+        assert {k: n for k, n in counts.items() if k[0] == peer} == {
+            (peer, "PREDICT_REQUEST", "id_set"): 1,
+            (peer, "PREDICT_REQUEST", "ids"): rounds + 1}

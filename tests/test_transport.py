@@ -2,6 +2,7 @@ import base64
 import enum
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -14,9 +15,10 @@ import time
 import numpy as np
 import pytest
 
+from assistlearn import core
 from assistlearn import errors as err
 from assistlearn import transport
-from assistlearn.core import FeaturePartition, LocalModule
+from assistlearn.core import FeaturePartition, LocalModule, TaskLabels
 from assistlearn.learners import LearnerSpec, predict
 from assistlearn.protocol import _fit_round_trip, _predict_round_trip
 from assistlearn.transport import (Envelope, InProcEndpoint, ModuleResponder,
@@ -76,8 +78,9 @@ def test_encode_is_single_json_line():
     body = json.loads(raw)
     assert set(body) == {"v", "kind", "task", "round", "from", "to",
                          "payload"}
-    assert body["v"] == 3 and body["from"] == "a" and body["to"] == "b"
-    # frames follow the header line raw, in sorted field-name order
+    assert body["v"] == 4 and body["from"] == "a" and body["to"] == "b"
+    # frames follow the header line raw, in sorted field-name order; the
+    # ids cross as one frame of their UTF-8 text joined by newlines
     env = Envelope(kind="WTILDE_TRANSFER", task="t", round=2, sender="a",
                    receiver="b", payload={"ids": ["x", "y"],
                                           "matrix": np.arange(6.0)
@@ -87,18 +90,19 @@ def test_encode_is_single_json_line():
                                           "b_out": 0.5})
     header, frames = encode(env).split(b"\n", 1)
     payload = json.loads(header)["payload"]
-    assert payload["ids"] == ["x", "y"] and payload["cols"] == 3
+    assert (payload["ids"], payload["id_bytes"], payload["cols"]) == (2, 3, 3)
     assert (payload["matrix"], payload["b_hidden"], payload["w_out"]) \
         == (6, 3, 3)
-    assert frames == np.array([4.0, 5.0, 6.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0,
-                               7.0, 8.0, 9.0]).astype("<f8").tobytes()
+    assert frames == b"".join([_f8([4.0, 5.0, 6.0]), b"x\ny",
+                               _f8([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+                               _f8([7.0, 8.0, 9.0])])
 
 
 def test_envelope_validation():
     ok = dict(kind="ERROR", task="t", round=0, sender="a", receiver="b",
               payload={"error": "StorageConflict"})
     Envelope(**ok)
-    for version in (1, 2):
+    for version in (1, 2, 3):
         with pytest.raises(err.UnsupportedVersion):
             Envelope(**ok, v=version)
     for kind in ("GOSSIP", "REFUSE"):
@@ -148,32 +152,36 @@ def test_decode_rejects_garbage():
     with pytest.raises(err.MalformedMessage):
         decode(b"[1, 2]\n")
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v": 3}\n')
+        decode(b'{"v": 4}\n')
     with pytest.raises(err.MalformedMessage):
-        decode(b'{"v":3,"kind":"ERROR"}\n{"second":1}\n')
+        decode(b'{"v":4,"kind":"ERROR"}\n{"second":1}\n')
     line = encode(Envelope(kind="ERROR", task="t", round=0, sender="a",
                            receiver="b",
                            payload={"error": "StorageConflict"}))
-    for version in (b'"v":1', b'"v":2', b'"v":9'):
+    for version in (b'"v":1', b'"v":2', b'"v":3', b'"v":9'):
         with pytest.raises(err.UnsupportedVersion):
-            decode(line.replace(b'"v":3', version))
+            decode(line.replace(b'"v":4', version))
     with pytest.raises(err.MalformedMessage):
-        decode(line.replace(b'"v":3', b'"v":"3"'))
+        decode(line.replace(b'"v":4', b'"v":"4"'))
     for kind in (b"GOSSIP", b"REFUSE"):
         with pytest.raises(err.MalformedMessage):
             decode(line.replace(b'"ERROR"', b'"' + kind + b'"'))
 
 
 def _frame_line(kind, payload, round_no=1, tail=b""):
-    """A hand-built v3 message. Each bytes field of ``payload`` becomes a
-    frame, declared as len // 8 floats; any other value goes into the header
-    as given. ``tail`` follows the frames."""
+    """A hand-built v4 message. Each bytes field of ``payload`` becomes a
+    frame, declared as len // 8 floats, and an ``ids`` list becomes the id
+    frame, declared by its id count and ``id_bytes``; any other value goes
+    into the header as given. ``tail`` follows the frames."""
     header, frames = {}, {}
     for name, value in payload.items():
         if isinstance(value, bytes):
             frames[name], value = value, len(value) // 8
+        elif name == "ids" and isinstance(value, list):
+            frames[name] = "\n".join(value).encode("utf-8")
+            header["id_bytes"], value = len(frames[name]), len(value)
         header[name] = value
-    line = json.dumps({"v": 3, "kind": kind, "task": "t", "round": round_no,
+    line = json.dumps({"v": 4, "kind": kind, "task": "t", "round": round_no,
                        "from": "a", "to": "m", "payload": header}) + "\n"
     return line.encode() + b"".join(frames[k] for k in sorted(frames)) + tail
 
@@ -263,6 +271,114 @@ def test_bad_frames_are_malformed_and_never_a_traceback(count, frames,
     assert not caplog.records
 
 
+_WIDE = ("\u00e9t\u00e9", "\u4e2d\u6587", "\U0001f600", "a b\tc", 'q"\\')
+
+
+@pytest.mark.parametrize("size", [0, 1, 15_000, "non-ascii"])
+def test_id_lists_come_back_equal_through_the_codec_and_a_responder(size):
+    wide = size == "non-ascii"
+    ids = list(_WIDE) if wide else [f"{i:08d}" for i in range(size)]
+    rows = max(len(ids), 1)  # a partition needs a row to fit on
+    part = FeaturePartition(
+        ids=ids or ["spare"], feature_names=("c0", "c1"),
+        features=np.random.default_rng(23).standard_normal((rows, 2)))
+    module = LocalModule("m", part, LearnerSpec("least_squares"))
+    responder = ModuleResponder(module)
+    fit = _fit_env(module, part.ids, np.ones(part.n_rows))
+    assert responder.answer(fit).kind == "FIT_RESPONSE"
+    request = Envelope(kind="PREDICT_REQUEST", task="t", round=0,
+                       sender="alice", receiver="m",
+                       payload={"ids": ids, "rounds": [1]})
+    message = encode(request)
+    header = json.loads(message.partition(b"\n")[0])["payload"]
+    assert (header["ids"], header["id_bytes"]) \
+        == (len(ids), len("\n".join(ids).encode("utf-8")))
+    back = decode(message)
+    assert back == request and back.payload["ids"] == ids
+    assert all(type(i) is str for i in back.payload["ids"])
+    in_process = InProcEndpoint(responder).request(request)
+    over_bytes = decode(encode(responder.answer(message)))
+    for reply in (in_process, over_bytes):
+        assert reply.kind == "PREDICT_RESPONSE"
+        assert reply.payload["ids"] == ids
+        assert reply.payload["values"].shape == (len(ids),)
+    assert _bits(in_process.payload["values"]) \
+        == _bits(over_bytes.payload["values"])
+
+
+def test_an_id_with_a_newline_or_no_utf8_is_malformed():
+    for ids in (["a\nb"], ["a", "b\n"], ["\n"], ["\ud800"], ["a", ""],
+                [1], "ab", {"a"}):
+        with pytest.raises(err.MalformedMessage):
+            Envelope(kind="PREDICT_REQUEST", task="t", round=0, sender="a",
+                     receiver="b", payload={"ids": ids, "rounds": [1]})
+    for ids in (("a\nb",), ("a", "\n")):
+        with pytest.raises(ValueError, match="newline"):
+            FeaturePartition(ids=ids, features=np.zeros((len(ids), 1)),
+                             feature_names=("u",))
+        with pytest.raises(ValueError, match="newline"):
+            TaskLabels(ids=ids, values=np.zeros(len(ids)))
+
+
+def _id_line(count, frame, **payload):
+    """A hand-built PREDICT_REQUEST declaring ``count`` ids in ``frame``."""
+    return _frame_line("PREDICT_REQUEST", {"ids": count,
+                                           "id_bytes": len(frame),
+                                           "rounds": [1], **payload},
+                       tail=frame)
+
+
+@pytest.mark.parametrize("count, frame", [
+    (3, b"a\nb"), (3, b"a\nb\nc\nd"), (1, b"a\nb"), (0, b"a"), (1, b""),
+    (2, b"\xff\n\xfe"), (1, b"\xed\xa0\x80"), (3, b"a\n\nb"), (2, b"a\n"),
+], ids=["fewer", "more", "split", "none-declared", "empty-frame",
+        "not-utf8", "surrogate", "empty-id", "trailing-newline"])
+def test_an_id_frame_that_does_not_split_into_its_count_is_malformed(
+        count, frame):
+    with pytest.raises(err.MalformedMessage):
+        _decode_both_ways(_id_line(count, frame))
+    assert _decode_both_ways(_id_line(2, b"a\nb")).payload["ids"] == ["a", "b"]
+
+
+@pytest.mark.parametrize("declared", [
+    {"id_bytes": None}, {"id_bytes": -1}, {"id_bytes": True},
+    {"id_bytes": "3"}, {"ids": -1}, {"ids": ["a", "b"]}, {"ids": "2"},
+])
+def test_bad_id_counts_are_malformed(declared):
+    """Also a v3 style id list under a v4 header."""
+    payload = {"ids": 2, "id_bytes": 3, "rounds": [1], **declared}
+    if payload["id_bytes"] is None:
+        del payload["id_bytes"]
+    line = json.dumps({"v": 4, "kind": "PREDICT_REQUEST", "task": "t",
+                       "round": 0, "from": "a", "to": "m",
+                       "payload": payload}).encode() + b"\n"
+    with pytest.raises(err.MalformedMessage):
+        _decode_both_ways(line + b"a\nb")
+
+
+class _Unread:
+    """A stream that fails the test if anything reads from it."""
+
+    def read(self, size):
+        raise AssertionError("a frame byte was read")
+
+
+def test_a_values_count_that_differs_from_the_ids_reads_no_frame_byte():
+    for values, ids in ((2, 3), (4, 3), (1, 0), (0, 1)):
+        header = json.dumps({
+            "v": 4, "kind": "FIT_REQUEST", "task": "t", "round": 1,
+            "from": "a", "to": "m",
+            "payload": {"ids": ids, "id_bytes": 2 * ids - 1 if ids else 0,
+                        "values": values}}).encode() + b"\n"
+        with pytest.raises(err.ShapeMismatch):
+            decode(header, _Unread())
+    # a matrix with a row count other than the ids is refused the same way
+    header = _frame_line("PARTIAL_PREACT", {"ids": 3, "id_bytes": 5,
+                                            "matrix": 8, "cols": 2})
+    with pytest.raises(err.ShapeMismatch):
+        decode(header, _Unread())
+
+
 def test_envelope_copies_and_never_freezes_the_callers_arrays():
     values = np.array([1.0, 2.0])
     env = Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
@@ -285,7 +401,8 @@ def test_envelope_copies_and_never_freezes_the_callers_arrays():
 # vectorised payload path against the per-element reference
 # ---------------------------------------------------------------------------
 
-def _ref_plain(value):
+def _ref_plain(value, nested=False):
+    """A scalar, or a flat list of scalars: no schema admits anything else."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (np.floating, np.integer)):
@@ -296,10 +413,8 @@ def _ref_plain(value):
         return value
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
-        return [_ref_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _ref_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)) and not nested:
+        return [_ref_plain(v, nested=True) for v in value]
     raise err.MalformedMessage(f"unsupported payload value {type(value).__name__}")
 
 
@@ -308,7 +423,23 @@ def _ref_is_num(v):
 
 
 def _ref_is_id_list(v):
-    return isinstance(v, list) and all(isinstance(s, str) and s for s in v)
+    def valid(s):
+        try:
+            s.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return s and "\n" not in s
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(s, str) and valid(s) for s in v)
+
+
+def _is_id_list(v):
+    """Whether an Envelope takes ``v`` as its ids."""
+    try:
+        transport._id_list(v)
+    except err.MalformedMessage:
+        return False
+    return True
 
 
 def _ref_is_int_list(v):
@@ -371,12 +502,13 @@ _CHECK_CASES = [
     [1.5], [None], [10 ** 400], [[1.0]], [[1.0, 2.0], [3.0, 4.0]],
     [[1.0], [2.0, 3.0]], [[[1.0]]], [[True]], [[]], [[], []], [["a"]],
     [[1, 2.5], [_Colour.RED, np.float64(2.0)]], "abc", None, (1, 2), 1.0,
-    {"a": 1},
+    {"a": 1}, ["a\nb"], ["a", "b\n"], ["\n"], ["\ud800"], ["a", "\u00e9"],
+    ("a", "b"), ("a", ""), [b"a"],
 ]
 
 
 @pytest.mark.parametrize("new, ref", [
-    (transport._is_id_list, _ref_is_id_list),
+    (_is_id_list, _ref_is_id_list),
     (transport._is_int_list, _ref_is_int_list),
 ], ids=["ids", "int"])
 def test_list_checks_match_per_element_reference(new, ref):
@@ -415,12 +547,12 @@ def test_payload_path_does_no_per_element_work(monkeypatch):
     def counting(name):
         real = getattr(transport, name)
 
-        def counted(value):
+        def counted(value, *args):
             seen.append((name, type(value)))
-            return real(value)
+            return real(value, *args)
         return counted
 
-    for name in ("_plain", "_frame"):
+    for name in ("_plain", "_frame", "_id_list"):
         monkeypatch.setattr(transport, name, counting(name))
 
     def trip(n):
@@ -475,7 +607,11 @@ def test_fit_schema_requires_fields_and_types():
         Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
                  receiver="b", payload={"ids": ["a"], "values": [True]})
     with pytest.raises(err.MalformedMessage):
-        validate_payload("FIT_REQUEST", {"ids": [1], "values": _vec(1.0)})
+        validate_payload("FIT_REQUEST", {"ids": "a", "values": _vec(1.0)})
+    for ids in ([1], [""], ["a\nb"]):  # checked as the Envelope takes them
+        with pytest.raises(err.MalformedMessage):
+            Envelope(kind="FIT_REQUEST", task="t", round=1, sender="a",
+                     receiver="b", payload={"ids": ids, "values": [1.0]})
     with pytest.raises(err.MalformedMessage):
         validate_payload("PREDICT_REQUEST", {"ids": ["a"], "rounds": [1.5]})
 
@@ -731,6 +867,22 @@ def test_inproc_endpoint_reports_module_id():
     assert InProcEndpoint(ModuleResponder(module)).module_id == "peer-9"
 
 
+def test_the_responder_aligns_rows_through_core_align(monkeypatch):
+    """It looks ``core.align`` up per call, so a wrapper such as the
+    benchmark's tracer sees the server's alignments too."""
+    calls, real = [], core.align
+
+    def counted(partition, ids):
+        calls.append(len(ids))
+        return real(partition, ids)
+    monkeypatch.setattr(core, "align", counted)
+    module = _module(seed=24)
+    ep = local_endpoint(module)
+    assert ep.request(_fit_env(module, module.partition.ids[:7],
+                               np.zeros(7))).kind == "FIT_RESPONSE"
+    assert calls == [7]
+
+
 # ---------------------------------------------------------------------------
 # id sets and envelope equality
 # ---------------------------------------------------------------------------
@@ -770,15 +922,18 @@ def _wire(payload):
     return out
 
 
-def test_id_digest_is_sha256_of_the_compact_json_list():
-    ids = ["a", "b\u00e9", 'q"', "\ud800"]
-    text = json.dumps(ids, separators=(",", ":"))
-    assert transport.id_digest(ids) == hashlib.sha256(
-        text.encode("utf-8")).hexdigest()
-    assert transport.id_digest(tuple(ids)) == transport.id_digest(ids)
-    # the JSON text is injective where a plain join is not
+def test_id_digest_is_sha256_of_the_id_frame():
+    assert transport.id_digest(["a", "b"]) == hashlib.sha256(
+        b"a\nb").hexdigest()
+    ids = ["a", "b\u00e9", 'q"']
+    assert transport.id_digest(tuple(ids)) == transport.id_digest(ids) \
+        == hashlib.sha256("a\nb\u00e9\nq\"".encode("utf-8")).hexdigest()
+    # injective: ids are non-empty and hold no newline
     assert transport.id_digest(["ab", "c"]) != transport.id_digest(["a", "bc"])
-    assert transport.id_digest(['a","b']) != transport.id_digest(["a", "b"])
+    assert transport.id_digest([]) != transport.id_digest(["a"])
+    for bad in (["a\nb"], ["a", ""], ["\ud800"]):
+        with pytest.raises(ValueError):
+            transport.id_digest(bad)
 
 
 @pytest.mark.parametrize("form", ["ids", "id_set"])
@@ -992,7 +1147,7 @@ def test_an_evicted_id_set_is_resent_once_with_the_same_bits(monkeypatch,
         # b's return evicted c; the cache holds at most the cap
         assert [k[1] for k in responder._id_sets] == [
             transport.id_digest(a), transport.id_digest(b)]
-        # the peer dropped b once, so b goes in full for the rest of the stage
+        # the peer dropped b once, so b goes in full for the rest of the task
         values(b)
         assert ep.seen[-1] == ("ids", "PREDICT_RESPONSE")
         # a list longer than the cap is kept alone
@@ -1281,20 +1436,34 @@ def test_wrong_version_over_the_wire():
                       "from": "a", "to": "m",
                       "payload": {"ids": ids, "values": base64.b64encode(
                           _f8(np.zeros(20))).decode()}}) + "\n").encode()
+    # a v3 FIT_REQUEST: its ids are a JSON list inside the line
+    v3 = (json.dumps({"v": 3, "kind": "FIT_REQUEST", "task": "t", "round": 1,
+                      "from": "a", "to": "m",
+                      "payload": {"ids": ids, "values": 20}}) + "\n"
+          ).encode() + _f8(np.zeros(20))
     with serve_module(module) as server:
         line = encode(Envelope(kind="ERROR", task="t", round=0, sender="a",
                                receiver="b", payload={"error": "x"}))
         with socket.create_connection((server.host, server.port),
                                       timeout=5.0) as conn:
             reader = conn.makefile("rb")
-            for message in (line.replace(b'"v":3', b'"v":1'),
-                            line.replace(b'"v":3', b'"v":4'), v2):
+            for message in (line.replace(b'"v":4', b'"v":1'),
+                            line.replace(b'"v":4', b'"v":5'), v2):
                 conn.sendall(message)
                 reply = decode(reader.readline(), reader)
                 assert reply.kind == "ERROR"
                 assert reply.payload["error"] == "UnsupportedVersion"
             conn.sendall(encode(_fit_env(module, ids, np.zeros(20))))
             assert decode(reader.readline(), reader).kind == "FIT_RESPONSE"
+        # nothing after a refused header is read as its frames, so a v3
+        # message, whose frames follow its line, goes on a connection of its own
+        with socket.create_connection((server.host, server.port),
+                                      timeout=5.0) as conn:
+            conn.sendall(v3)
+            reply = decode(conn.makefile("rb").readline())
+            assert reply.payload["error"] == "UnsupportedVersion"
+    with pytest.raises(err.UnsupportedVersion):
+        decode(v3)
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
@@ -1324,13 +1493,15 @@ def test_non_finite_literals_are_rejected_on_the_wire(literal):
 
 
 def test_a_huge_declared_frame_costs_only_the_bytes_that_arrive(caplog):
-    """A header may declare any float count; the server reads what arrives,
-    answers a message cut short with an ERROR, drops a reset connection
-    without a traceback and keeps serving."""
+    """A header may declare any float count or id frame size; the server
+    reads what arrives, answers a message cut short with an ERROR, drops a
+    reset connection without a traceback and keeps serving."""
     module = _module(seed=17)
     header = _frame_line("FIT_REQUEST", {"ids": ["0000"], "values": 2 ** 40})
     huge = _frame_line("PARTIAL_PREACT", {"id_set": "0" * 64,
                                           "matrix": 2 ** 40, "cols": 1})
+    huge_ids = _frame_line("PREDICT_REQUEST", {"ids": 2, "id_bytes": 2 ** 40,
+                                               "rounds": [1]})
     with caplog.at_level(logging.ERROR, logger="assistlearn"):
         with serve_module(module) as server:
             # the count disagrees with the ids: refused before any frame byte
@@ -1339,10 +1510,11 @@ def test_a_huge_declared_frame_costs_only_the_bytes_that_arrive(caplog):
                 conn.sendall(header)
                 reply = decode(conn.makefile("rb").readline())
                 assert reply.payload["error"] == "ShapeMismatch"
-            for resets in (False, True):
+            for message, resets in itertools.product(
+                    (huge, huge_ids + b"0000\n"), (False, True)):
                 with socket.create_connection((server.host, server.port),
                                               timeout=5.0) as conn:
-                    conn.sendall(huge + b"\0" * 16)
+                    conn.sendall(message + b"\0" * 16)
                     if resets:  # close with a reset instead of a FIN
                         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                                         struct.pack("ii", 1, 0))
