@@ -33,10 +33,8 @@ from . import errors as err
 from .core import LocalModule, TaskLabels, align
 from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
-from .protocol import (ProtocolConfig, argmin_round, stop_check,
-                       _alice_rows, _echo_roundtrip, _ids_roundtrip,
-                       _roundtrip, _working_sets)
-from .transport import Envelope
+from .protocol import (Peer, ProtocolConfig, alice_rows, argmin_round,
+                       stop_check, working_sets)
 
 log = logging.getLogger("assistlearn")
 
@@ -175,21 +173,17 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
     him, and ``nn_predict`` asks him for his partial at the chosen round.
     """
     task_id = task_id if task_id is not None else f"nn-task-{config.seed}"
-    train_ids, hold_ids = _working_sets(alice, labels,
-                                        config.holdout_fraction, config.seed)
+    train_ids, hold_ids = working_sets(alice, labels,
+                                       config.holdout_fraction, config.seed)
     X_train = align(alice.partition, train_ids)
     y_train = labels.lookup(train_ids)
     p_alice = X_train.shape[1]
 
-    setup = Envelope(kind="LABELS_TRANSFER", task=task_id, round=0,
-                     sender=alice.module_id, receiver=bob_ep.module_id,
-                     payload={"ids": list(train_ids), "values": y_train,
-                              "seed": config.seed, "hidden": config.hidden,
-                              "peer_cols": p_alice})
-    ack = _roundtrip(bob_ep, setup, config.timeout, "LABELS_TRANSFER")
-    if "own_cols" not in ack.payload:
-        raise err.MalformedMessage("bad LABELS_TRANSFER ack")
-    p_bob = int(ack.payload["own_cols"])
+    known: dict = {}
+    bob = Peer(bob_ep, task_id, alice.module_id, config.timeout, known)
+    p_bob = bob.labels({"ids": list(train_ids), "values": y_train,
+                        "seed": config.seed, "hidden": config.hidden,
+                        "peer_cols": p_alice})
     solo = p_bob == 0
 
     w_full, b_hidden, w_out, b_out = dense_init(
@@ -204,36 +198,25 @@ def run_nn_learning(alice: LocalModule, bob_ep, labels: TaskLabels,
         X_val = align(alice.partition, hold_ids)
         y_val = labels.lookup(hold_ids)
 
-    known: dict = {}
     snapshots = {0: (w_alice.copy(), shared)}
     history: list[float] = []
     timings: list[float] = []
     for round_no in range(1, config.max_rounds + 1):
         started = time.perf_counter()
         if solo or round_no % 2 == 1:
-            offset = None if solo else _fetch_partial(
-                bob_ep, known, alice.module_id, task_id, round_no - 1,
-                train_ids, config.hidden, config.timeout)
+            offset = None if solo else bob.partial(
+                round_no - 1, train_ids, config.hidden)
             w_alice, shared = _update_party(X_train, offset, y_train,
                                             w_alice, shared, opt, round_no)
         else:
-            reply, _ = _ids_roundtrip(
-                bob_ep, known, dict(kind="WTILDE_TRANSFER", task=task_id,
-                                    round=round_no, sender=alice.module_id),
-                train_ids, {**vars(shared), "matrix": X_train @ w_alice,
-                            "rate": opt.rate, "batch": opt.batch,
-                            "epochs": opt.epochs},
-                config.timeout, "WTILDE_TRANSFER")
-            shared = SharedWeights(b_hidden=reply.payload["b_hidden"],
-                                   w_out=reply.payload["w_out"],
-                                   b_out=reply.payload["b_out"])
-            if {len(shared.b_hidden), len(shared.w_out)} != {config.hidden}:
-                raise err.ShapeMismatch(f"WTILDE_TRANSFER reply does not "
-                                        f"fit hidden width {config.hidden}")
+            shared = SharedWeights(**bob.wtilde(
+                round_no, train_ids,
+                {**vars(shared), "matrix": X_train @ w_alice,
+                 "rate": opt.rate, "batch": opt.batch, "epochs": opt.epochs},
+                config.hidden))
         snapshots[round_no] = (w_alice.copy(), shared)
-        other = None if solo else _fetch_partial(
-            bob_ep, known, alice.module_id, task_id, round_no, val_ids,
-            config.hidden, config.timeout)
+        other = None if solo else bob.partial(round_no, val_ids,
+                                              config.hidden)
         pred = dense_forward(X_val, other, w_alice, shared.b_hidden,
                              shared.w_out, shared.b_out)
         history.append(rmse(y_val, pred))
@@ -259,7 +242,7 @@ def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
     is queried for his partial at that round; if he is unreachable, the
     transport error propagates - no partial predictions.
     """
-    X = _alice_rows(alice, ids)
+    X = alice_rows(alice, ids)
     round_no = result.best_round if upto is None else upto
     try:
         w_alice, shared = result.alice_rounds[round_no]
@@ -268,16 +251,9 @@ def nn_predict(result: NnTrainResult, alice: LocalModule, bob_ep,
             f"round {round_no} was never executed") from None
     other = None
     if result.bob_cols > 0:
-        other = _fetch_partial(bob_ep, result.known, alice.module_id,
-                               result.task_id, round_no, ids,
-                               len(shared.b_hidden), timeout)
+        bob = Peer(bob_ep, result.task_id, alice.module_id, timeout,
+                   result.known)
+        other = bob.partial(round_no, ids, len(shared.b_hidden))
     return dense_forward(X, other, w_alice, shared.b_hidden,
                          shared.w_out, shared.b_out)
 
-
-def _fetch_partial(endpoint, known, sender, task_id, round_no, ids, hidden,
-                   timeout) -> np.ndarray:
-    head = dict(kind="PARTIAL_PREACT", task=task_id, round=round_no,
-                sender=sender)
-    return _echo_roundtrip(endpoint, known, head, ids, {}, timeout,
-                           "PARTIAL_PREACT", "matrix", (hidden,))

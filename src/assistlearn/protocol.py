@@ -183,8 +183,8 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
     must cover it.
     """
     task_id = task_id if task_id is not None else f"task-{config.seed}"
-    train_ids, hold_ids = _working_sets(alice, labels,
-                                        config.holdout_fraction, config.seed)
+    train_ids, hold_ids = working_sets(alice, labels,
+                                       config.holdout_fraction, config.seed)
     y_train = labels.lookup(train_ids)
     X_train = align(alice.partition, train_ids)
     if hold_ids:
@@ -194,6 +194,8 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
     module_ids = [alice.module_id] + [ep.module_id for ep in assistants]
 
     known: dict = {}
+    peers = [Peer(ep, task_id, alice.module_id, config.timeout, known)
+             for ep in assistants]
     residual = y_train.copy()
     records = []
     history: list[float] = []
@@ -209,15 +211,11 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
         halfsteps.append(rms(residual))
         if hold_ids:
             cum_hold += predict(model, X_hold)
-        for ep in assistants:
-            residual = _fit_round_trip(ep, known, alice.module_id, task_id,
-                                       round_no, train_ids, residual,
-                                       config.timeout)
+        for peer in peers:
+            residual = peer.fit(round_no, train_ids, residual)
             halfsteps.append(rms(residual))
             if hold_ids:
-                cum_hold += _predict_round_trip(ep, known, alice.module_id,
-                                                task_id, [round_no], hold_ids,
-                                                config.timeout)
+                cum_hold += peer.predict([round_no], hold_ids)
         if hold_ids:
             val = rmse(y_hold, cum_hold)
         else:
@@ -238,7 +236,7 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
                        best_round=argmin_round(history), known=known)
 
 
-def _working_sets(alice, labels, holdout_fraction: float, seed: int):
+def working_sets(alice, labels, holdout_fraction: float, seed: int):
     """Sorted ids shared by the labels and alice, split into (train, holdout)."""
     work_ids = sorted(set(labels.ids) & set(alice.partition.ids))
     if not work_ids:
@@ -260,7 +258,7 @@ def _working_sets(alice, labels, holdout_fraction: float, seed: int):
 # prediction stage
 # ---------------------------------------------------------------------------
 
-def _alice_rows(alice: LocalModule, ids: Sequence[str]) -> np.ndarray:
+def alice_rows(alice: LocalModule, ids: Sequence[str]) -> np.ndarray:
     """Alice's feature rows for ``ids``; an id absent from her partition
     raises MissingTestRows."""
     try:
@@ -269,12 +267,16 @@ def _alice_rows(alice: LocalModule, ids: Sequence[str]) -> np.ndarray:
         raise err.MissingTestRows(str(exc)) from None
 
 
-def _endpoint_for(by_id: dict, module_id: str):
-    try:
-        return by_id[module_id]
-    except KeyError:
-        raise err.MissingTestRows(
-            f"no endpoint for module {module_id!r}") from None
+def _peers(task: TrainedTask, alice: LocalModule, assistants: Sequence,
+           timeout: float) -> list[Peer]:
+    """One Peer per assistant of ``task``, in chain order; an assistant
+    with no endpoint in ``assistants`` raises MissingTestRows."""
+    by_id = {ep.module_id: ep for ep in assistants}
+    for module_id in task.module_ids[1:]:
+        if module_id not in by_id:
+            raise err.MissingTestRows(f"no endpoint for module {module_id!r}")
+    return [Peer(by_id[m], task.task_id, alice.module_id, timeout, task.known)
+            for m in task.module_ids[1:]]
 
 
 def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
@@ -288,17 +290,14 @@ def predict_stage(task: TrainedTask, alice: LocalModule, assistants: Sequence,
     upto = task.best_round if upto is None else upto
     if upto < 1 or upto > len(task.records):
         raise err.UnknownRound(f"round {upto} outside recorded range")
-    X = _alice_rows(alice, ids)
+    X = alice_rows(alice, ids)
+    peers = _peers(task, alice, assistants, timeout)
     rounds = range(1, upto + 1)
     out = np.zeros(len(ids))
     for k in rounds:
         out += predict(alice.stored_model(task.task_id, k), X)
-    by_id = {ep.module_id: ep for ep in assistants}
-    known = task.known
-    for module_id in task.module_ids[1:]:
-        out += _predict_round_trip(_endpoint_for(by_id, module_id), known,
-                                   alice.module_id, task.task_id, rounds, ids,
-                                   timeout)
+    for peer in peers:
+        out += peer.predict(rounds, ids)
     return out
 
 
@@ -309,17 +308,14 @@ def per_round_predictions(task: TrainedTask, alice, assistants, ids,
     Row k-1 equals predict_stage with upto=k; computed incrementally so each
     model is evaluated once.
     """
-    X = _alice_rows(alice, ids)
-    by_id = {ep.module_id: ep for ep in assistants}
-    known = task.known
+    X = alice_rows(alice, ids)
+    peers = _peers(task, alice, assistants, timeout)
     cum = np.zeros(len(ids))
     rows = []
     for rec in task.records:
         cum += predict(alice.stored_model(task.task_id, rec.round), X)
-        for module_id in task.module_ids[1:]:
-            cum += _predict_round_trip(_endpoint_for(by_id, module_id), known,
-                                       alice.module_id, task.task_id,
-                                       [rec.round], ids, timeout)
+        for peer in peers:
+            cum += peer.predict([rec.round], ids)
         rows.append(cum.copy())
     return np.vstack(rows)
 
@@ -404,73 +400,110 @@ def _scored(y_train, pred_train, y_test, pred_test) -> BaselineMetrics:
 
 
 # ---------------------------------------------------------------------------
-# wire helpers
+# peer session
 # ---------------------------------------------------------------------------
 
-def _roundtrip(endpoint, env: Envelope, timeout: float,
-               expect: str) -> Envelope:
-    """Send ``env``; return the reply if it is of kind ``expect``.
+class Peer:
+    """Alice's side of one task's exchanges with one peer.
 
-    ERROR re-raises the remote error and any other kind is MalformedMessage.
+    ``known`` is the task's id-set record, which all its peers share: each
+    id list sent maps to its digest, computed when first needed, and, for
+    each peer that was sent the list in full, how often that peer has
+    refused the digest. A peer that holds the list gets its ``id_set``, any
+    other the full ``ids``. A peer that answers UnknownIdSet gets the full
+    list and holds it again; a list the peer has refused twice goes in full
+    for the rest of the task, since its cache is short of room.
     """
-    reply = endpoint.request(env, timeout=timeout)
-    if reply.kind == "ERROR":
-        _raise_remote(reply)
-    if reply.kind != expect:
-        raise err.MalformedMessage(f"expected {expect}, got {reply.kind}")
-    return reply
 
+    def __init__(self, endpoint, task_id: str, sender: str, timeout: float,
+                 known: dict):
+        self.endpoint, self.task_id, self.sender = endpoint, task_id, sender
+        self.timeout, self.known = timeout, known
 
-def _ids_roundtrip(endpoint, known: dict, head: dict, ids, payload: dict,
-                   timeout: float, expect: str) -> tuple[Envelope, dict]:
-    """Send an id-bearing request; return the reply and the id field sent.
+    def fit(self, round_no: int, ids, values) -> np.ndarray:
+        return self._echo("FIT_REQUEST", round_no, ids, {"values": values},
+                          "FIT_RESPONSE", "values")
 
-    ``known`` is the task's record: each id list sent maps to the list's
-    digest, computed when first needed, and, per peer, whether the peer
-    holds the list. ``head`` holds the envelope's kind, task, round and
-    sender. A peer that holds the list gets its ``id_set``; any other peer
-    gets the full ``ids``. A peer that has dropped the list answers
-    UnknownIdSet: it gets the full list once more and, since its cache is
-    short of room, in every later request of the task as well.
-    """
-    ids = tuple(ids)
-    entry = known.setdefault(ids, [None, {}])
-    holds = entry[1]
-    held = holds.get(endpoint.module_id)
+    def predict(self, rounds, ids) -> np.ndarray:
+        return self._echo("PREDICT_REQUEST", 0, ids,
+                          {"rounds": [int(r) for r in rounds]},
+                          "PREDICT_RESPONSE", "values")
 
-    def send(form):
-        env = Envelope(**head, receiver=endpoint.module_id,
-                       payload={**payload, **form})
-        return _roundtrip(endpoint, env, timeout, expect), form
+    def partial(self, round_no: int, ids, hidden: int) -> np.ndarray:
+        return self._echo("PARTIAL_PREACT", round_no, ids, {},
+                          "PARTIAL_PREACT", "matrix", (hidden,))
 
-    if held:
-        entry[0] = entry[0] or id_digest(ids)
-        try:
-            return send({"id_set": entry[0]})
-        except err.UnknownIdSet:
-            log.info("module %s dropped id set %s; sending the ids in full",
-                     endpoint.module_id, entry[0])
-    reply = send({"ids": list(ids)})
-    holds[endpoint.module_id] = held is None
-    return reply
+    def wtilde(self, round_no: int, ids, payload: dict, hidden: int) -> dict:
+        """The reply's ``b_hidden``, ``w_out`` and ``b_out``, which must fit
+        ``hidden``."""
+        reply, _ = self._send("WTILDE_TRANSFER", round_no, ids, payload,
+                              "WTILDE_TRANSFER")
+        out = {name: reply.payload[name]
+               for name in ("b_hidden", "w_out", "b_out")}
+        if {np.shape(out["b_hidden"]), np.shape(out["w_out"])} != {(hidden,)}:
+            raise err.ShapeMismatch(f"WTILDE_TRANSFER reply does not fit "
+                                    f"hidden width {hidden}")
+        return out
 
+    def labels(self, payload: dict) -> int:
+        """Send the LABELS_TRANSFER set-up; return the peer's column count."""
+        ack = self._request("LABELS_TRANSFER", 0, payload, "LABELS_TRANSFER")
+        own_cols = ack.payload.get("own_cols")
+        if own_cols is None or own_cols < 0:
+            raise err.MalformedMessage("bad LABELS_TRANSFER ack")
+        return int(own_cols)
 
-def _echo_roundtrip(endpoint, known: dict, head: dict, ids, payload: dict,
-                    timeout: float, expect: str, field: str,
-                    cols: tuple = ()) -> np.ndarray:
-    """Id-bearing round trip whose reply echoes the request's id field;
-    returns the reply's ``field`` as float64 of shape ``(len(ids), *cols)``."""
-    reply, form = _ids_roundtrip(endpoint, known, head, ids, payload, timeout,
-                                 expect)
-    (name, value), = form.items()
-    if reply.payload.get(name) != value:
-        raise err.ShapeMismatch("reply ids differ from request ids")
-    if field not in reply.payload:
-        raise err.MalformedMessage(f"{expect} reply without {field!r}")
-    out = np.array(reply.payload[field], dtype=np.float64)
-    if out.shape != (len(ids), *cols):
-        raise err.ShapeMismatch(f"reply of shape {out.shape} for {len(ids)} ids")
-    return out
+    def _request(self, kind: str, round_no: int, payload: dict,
+                 expect: str) -> Envelope:
+        """The reply, if of kind ``expect``; ERROR re-raises the remote
+        error and any other kind is MalformedMessage."""
+        env = Envelope(kind=kind, task=self.task_id, round=round_no,
+                       sender=self.sender, receiver=self.endpoint.module_id,
+                       payload=payload)
+        reply = self.endpoint.request(env, timeout=self.timeout)
+        if reply.kind == "ERROR":
+            _raise_remote(reply)
+        if reply.kind != expect:
+            raise err.MalformedMessage(f"expected {expect}, got {reply.kind}")
+        return reply
+
+    def _send(self, kind: str, round_no: int, ids, payload: dict,
+              expect: str) -> tuple[Envelope, dict]:
+        """An id-bearing request; returns the reply and the id field sent."""
+        ids = tuple(ids)
+        peer = self.endpoint.module_id
+        entry = self.known.setdefault(ids, [None, {}])
+        refused = entry[1].get(peer)
+        if refused is not None and refused < 2:
+            entry[0] = entry[0] or id_digest(ids)
+            form = {"id_set": entry[0]}
+            try:
+                return self._request(kind, round_no, {**payload, **form},
+                                     expect), form
+            except err.UnknownIdSet:
+                refused += 1
+                log.info("module %s dropped id set %s; sending the ids in "
+                         "full", peer, entry[0])
+        form = {"ids": list(ids)}
+        reply = self._request(kind, round_no, {**payload, **form}, expect)
+        entry[1][peer] = refused or 0
+        return reply, form
+
+    def _echo(self, kind: str, round_no: int, ids, payload: dict,
+              expect: str, field: str, cols: tuple = ()) -> np.ndarray:
+        """An id-bearing request whose reply echoes the id field sent;
+        returns its ``field`` as float64 of shape ``(len(ids), *cols)``."""
+        reply, form = self._send(kind, round_no, ids, payload, expect)
+        (name, value), = form.items()
+        if reply.payload.get(name) != value:
+            raise err.ShapeMismatch("reply ids differ from request ids")
+        if field not in reply.payload:
+            raise err.MalformedMessage(f"{expect} reply without {field!r}")
+        out = np.array(reply.payload[field], dtype=np.float64)
+        if out.shape != (len(ids), *cols):
+            raise err.ShapeMismatch(
+                f"reply of shape {out.shape} for {len(ids)} ids")
+        return out
 
 
 def _raise_remote(reply: Envelope):
@@ -480,19 +513,3 @@ def _raise_remote(reply: Envelope):
     if isinstance(cls, type) and issubclass(cls, err.AssistError):
         raise cls(message)
     raise err.TransportError(f"remote {name}: {message}")
-
-
-def _fit_round_trip(endpoint, known, sender, task_id, round_no, ids, values,
-                    timeout) -> np.ndarray:
-    head = dict(kind="FIT_REQUEST", task=task_id, round=round_no,
-                sender=sender)
-    return _echo_roundtrip(endpoint, known, head, ids, {"values": values},
-                           timeout, "FIT_RESPONSE", "values")
-
-
-def _predict_round_trip(endpoint, known, sender, task_id, rounds, ids,
-                        timeout) -> np.ndarray:
-    head = dict(kind="PREDICT_REQUEST", task=task_id, round=0, sender=sender)
-    return _echo_roundtrip(endpoint, known, head, ids,
-                           {"rounds": [int(r) for r in rounds]}, timeout,
-                           "PREDICT_RESPONSE", "values")

@@ -7,14 +7,12 @@ from assistlearn.core import (FeaturePartition, LocalModule, TaskLabels,
 from assistlearn.data import SyntheticSpec, generate, split_counts
 from assistlearn.learners import LearnerSpec, predict
 from assistlearn.metrics import rmse
-from assistlearn.protocol import (BaselineMetrics, ProtocolConfig,
+from assistlearn.protocol import (BaselineMetrics, Peer, ProtocolConfig,
                                   TrainedTask, argmin_round,
                                   assist_fit, oracle_baseline,
                                   per_round_predictions, predict_stage,
                                   run_learning_stage, stacking_baseline,
                                   stop_check, stopped_round)
-from assistlearn.nn_protocol import _fetch_partial
-from assistlearn.protocol import _fit_round_trip, _predict_round_trip
 from assistlearn.transport import Envelope, id_digest, local_endpoint
 
 LS = LearnerSpec("least_squares")
@@ -361,18 +359,25 @@ class _CannedEndpoint:
                         payload=self.payload(env.payload.get("ids")))
 
 
+def _peer(ep, known=None):
+    return Peer(ep, "t", "alice", 5.0, {} if known is None else known)
+
+
 def _fit(ep):
-    return _fit_round_trip(ep, {}, "alice", "t", 1, ["a", "b"],
-                           [1.0, 2.0], 5.0)
+    return _peer(ep).fit(1, ["a", "b"], [1.0, 2.0])
 
 
 def _predict(ep):
-    return _predict_round_trip(ep, {}, "alice", "t", [1], ["a", "b"],
-                               5.0)
+    return _peer(ep).predict([1], ["a", "b"])
 
 
 def _partial(ep):
-    return _fetch_partial(ep, {}, "alice", "t", 1, ["a", "b"], 1, 5.0)
+    return _peer(ep).partial(1, ["a", "b"], 1)
+
+
+def _labels(ep):
+    return _peer(ep).labels({"ids": ["a", "b"], "values": [1.0, 2.0],
+                             "seed": 0, "hidden": 1, "peer_cols": 1})
 
 
 @pytest.mark.parametrize("call, kind, payload, error", [
@@ -386,6 +391,9 @@ def _partial(ep):
      err.MalformedMessage),
     (_partial, "PARTIAL_PREACT",
      lambda ids: {"ids": ids, "matrix": [[0.0]]}, err.ShapeMismatch),
+    (_labels, "LABELS_TRANSFER", lambda ids: {}, err.MalformedMessage),
+    (_labels, "LABELS_TRANSFER", lambda ids: {"own_cols": -2},
+     err.MalformedMessage),
 ])
 def test_reply_kind_ids_and_length_are_checked(call, kind, payload, error):
     with pytest.raises(error):
@@ -406,9 +414,7 @@ def test_partial_reply_needs_hidden_columns():
                          lambda ids: {"ids": ids, "matrix": np.zeros((2, 2))})
     with pytest.raises(err.ShapeMismatch):
         _partial(ep)  # one hidden column expected
-    assert _fetch_partial(ep, {}, "alice", "t", 1, ["a", "b"], 2,
-                          5.0).shape \
-        == (2, 2)
+    assert _peer(ep).partial(1, ["a", "b"], 2).shape == (2, 2)
 
 
 @pytest.mark.parametrize("echo", [
@@ -416,15 +422,15 @@ def test_partial_reply_needs_hidden_columns():
     {"ids": ["a", "b"]},                    # the list, not its digest
 ], ids=["other-id-set", "full-ids"])
 def test_a_reply_must_echo_the_id_set_it_was_sent(echo):
-    known = {("a", "b"): [None, {"stub": True}]}  # the stub holds the list
+    # the stub holds the list and has refused its digest 0 times
+    known = {("a", "b"): [None, {"stub": 0}]}
     ep = _CannedEndpoint("PREDICT_RESPONSE",
                          lambda ids: {**echo, "values": [0.5, -1.0]})
     with pytest.raises(err.ShapeMismatch):
-        _predict_round_trip(ep, known, "alice", "t", [1], ["a", "b"], 5.0)
+        _peer(ep, known).predict([1], ["a", "b"])
     ep = _CannedEndpoint("PREDICT_RESPONSE", lambda ids: {
         "id_set": id_digest(["a", "b"]), "values": [0.5, -1.0]})
-    assert _predict_round_trip(ep, known, "alice", "t", [1], ["a", "b"],
-                               5.0).tolist() == [0.5, -1.0]
+    assert _peer(ep, known).predict([1], ["a", "b"]).tolist() == [0.5, -1.0]
 
 
 class _FormCount:
@@ -477,7 +483,8 @@ def test_each_stage_sends_an_id_list_in_full_once_per_peer():
 def test_a_fresh_responder_for_the_same_module_predicts_the_same_bits():
     """The task's record says each peer holds the test ids; a new responder
     for the same module does not, answers UnknownIdSet, gets the list in
-    full from then on and predicts the same bits."""
+    full once, is named it by digest after that and predicts the same
+    bits."""
     full, parts, labels = _linear_setup(n=120)
     alice, eps, helpers = _chain(parts)
     rounds = 3
@@ -494,5 +501,5 @@ def test_a_fresh_responder_for_the_same_module_predicts_the_same_bits():
         == summed.tobytes()
     for peer in ("bright", "carol"):
         assert {k: n for k, n in counts.items() if k[0] == peer} == {
-            (peer, "PREDICT_REQUEST", "id_set"): 1,
-            (peer, "PREDICT_REQUEST", "ids"): rounds + 1}
+            (peer, "PREDICT_REQUEST", "id_set"): rounds + 1,
+            (peer, "PREDICT_REQUEST", "ids"): 1}

@@ -20,7 +20,7 @@ from assistlearn import errors as err
 from assistlearn import transport
 from assistlearn.core import FeaturePartition, LocalModule, TaskLabels
 from assistlearn.learners import LearnerSpec, predict
-from assistlearn.protocol import _fit_round_trip, _predict_round_trip
+from assistlearn.protocol import Peer
 from assistlearn.transport import (Envelope, InProcEndpoint, ModuleResponder,
                                    TcpModuleServer, decode, encode,
                                    local_endpoint, serve_module,
@@ -1123,12 +1123,11 @@ def test_an_evicted_id_set_is_resent_once_with_the_same_bits(monkeypatch,
         ep = _FormLog(_id_endpoint(module, server))
         responder = server.responder if over_tcp \
             else ep._inner._responder
-        known = {}
+        peer = Peer(ep, "t", "alice", 5.0, {})
 
         def values(some):
-            return _predict_round_trip(ep, known, "alice", "t", [1], some,
-                                       5.0)
-        _fit_round_trip(ep, known, "alice", "t", 1, a, np.arange(10.0), 5.0)
+            return peer.predict([1], some)
+        peer.fit(1, a, np.arange(10.0))
         first_b = values(b)
         values(a)              # a is now the more recently used
         values(c)              # 35 ids: evicts b, the least recently used
@@ -1147,9 +1146,21 @@ def test_an_evicted_id_set_is_resent_once_with_the_same_bits(monkeypatch,
         # b's return evicted c; the cache holds at most the cap
         assert [k[1] for k in responder._id_sets] == [
             transport.id_digest(a), transport.id_digest(b)]
-        # the peer dropped b once, so b goes in full for the rest of the task
+        # the full resend means the peer holds b again
         values(b)
-        assert ep.seen[-1] == ("ids", "PREDICT_RESPONSE")
+        values(a)
+        values(c)              # b's return evicted c: resent; evicts b again
+        values(b)              # b's second refusal: resent in full
+        values(b)              # and from then on sent in full
+        assert ep.seen[7:] == [("id_set", "PREDICT_RESPONSE"),
+                               ("id_set", "PREDICT_RESPONSE"),
+                               ("id_set", "UnknownIdSet"),
+                               ("ids", "PREDICT_RESPONSE"),
+                               ("id_set", "UnknownIdSet"),
+                               ("ids", "PREDICT_RESPONSE"),
+                               ("ids", "PREDICT_RESPONSE")]
+        assert [k[1] for k in responder._id_sets] == [
+            transport.id_digest(c), transport.id_digest(b)]
         # a list longer than the cap is kept alone
         values(ids)
         values(ids)
@@ -1174,15 +1185,13 @@ def test_concurrent_tasks_keep_the_id_set_cache_consistent(monkeypatch):
 
     def worker(w):
         try:
-            known = {}
             task = f"task-{w}"
-            _fit_round_trip(ep, known, "alice", task, 1, ids,
-                            np.random.default_rng(w).standard_normal(40), 5.0)
+            peer = Peer(ep, task, "alice", 5.0, {})
+            peer.fit(1, ids, np.random.default_rng(w).standard_normal(40))
             model = module.stored_model(task, 1)
             for step in range(30):
                 lo = (w + 7 * step) % 20
-                got = _predict_round_trip(ep, known, "alice", task, [1],
-                                          ids[lo:lo + 12 + step % 9], 5.0)
+                got = peer.predict([1], ids[lo:lo + 12 + step % 9])
                 want = predict(model, module.partition.features[
                     lo:lo + 12 + step % 9])
                 if _bits(got) != _bits(want):
