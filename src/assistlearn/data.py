@@ -186,20 +186,18 @@ def save_csv(path, partition: FeaturePartition,
     """Write a partition (and optional labels) so load_csv round-trips it.
 
     Floats are written with repr, the shortest string that parses back to
-    the identical double.
+    the identical double. ``float.__repr__`` reads each column lazily (a
+    float64 scalar is a float), so no list of every value is built.
     """
-    y = labels.lookup(partition.ids).tolist() if labels else None
+    head = [id_column, *partition.feature_names]
+    cols = [map(float.__repr__, col) for col in partition.features.T]
+    if labels:
+        head.append(label_column)
+        cols.append(map(float.__repr__, labels.lookup(partition.ids)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        head = [id_column, *partition.feature_names]
-        if y is not None:
-            head.append(label_column)
         writer.writerow(head)
-        for i, sid in enumerate(partition.ids):
-            row = [sid] + [repr(v) for v in partition.features[i].tolist()]
-            if y is not None:
-                row.append(repr(y[i]))
-            writer.writerow(row)
+        writer.writerows(zip(partition.ids, *cols))
 
 
 def split(ids: Sequence[str],

@@ -19,9 +19,13 @@ Kinds:
   stably argsorted once per fit ("pre-sorted column blocks", as in exact
   greedy XGBoost); every node filters those orders to its rows and scores
   all features in one pass, and the tree's fitted values come out of the
-  growth itself.
+  growth itself. Prediction gives each row the number of its leaf as
+  uint8, from a compare and a few integer passes per node, and reads every
+  leaf value with one ``take``; trees taller than ``_CODE_HEIGHT`` split
+  rows by index above it.
 * ``gradient_boosting`` - mean start plus shrunken trees on residuals; one
-  presort serves every stage.
+  presort serves every stage, and prediction copies the columns once for
+  all trees.
 * ``dense_net`` - one tanh hidden layer trained by seeded mini-batch gradient
   descent on squared loss. ``sgd_epochs`` keeps the parameters in one flat
   buffer and gathers the rows once per epoch, bit-identical whether a run
@@ -41,7 +45,7 @@ from .errors import DimensionMismatch, NonFiniteLoss
 
 LEARNER_KINDS = ("least_squares", "ridge", "regression_tree",
                  "gradient_boosting", "dense_net")
-_SELECT_HEIGHT = 3  # see _tree_apply
+_CODE_HEIGHT = 8  # see _tree_apply; 2 ** 8 leaves fit uint8 codes
 
 _DEFAULTS = {
     "least_squares": {"lam": 0.0},
@@ -140,20 +144,62 @@ class _Node:
     left: Optional["_Node"] = None
     right: Optional["_Node"] = None
     height: int = field(init=False, default=0)
+    leaves: int = field(init=False, default=1)
+    # leaf values right to left, built on first use and stored by one
+    # assignment, so no thread sees a half-filled table; derived, so it
+    # takes no part in == or repr
+    _values: Optional[np.ndarray] = field(init=False, default=None,
+                                          compare=False, repr=False)
 
     def __post_init__(self):
         if not self.is_leaf:
             self.height = 1 + max(self.left.height, self.right.height)
+            self.leaves = self.left.leaves + self.right.leaves
 
     @property
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def select(self, X: np.ndarray):
-        if self.is_leaf:
-            return self.value
-        return np.where(X[:, self.feature] <= self.threshold,
-                        self.left.select(X), self.right.select(X))
+    def leaf_values(self) -> np.ndarray:
+        """The values of this subtree's leaves, numbered right to left."""
+        if self._values is None:
+            values, stack = [], [self]
+            while stack:
+                node = stack.pop()
+                if node.is_leaf:
+                    values.append(node.value)
+                else:
+                    stack += (node.left, node.right)
+            self._values = np.array(values, dtype=np.float64)
+        return self._values
+
+    def codes(self, cols, first: int = 0) -> np.ndarray:
+        """Number of the leaf each row lands in, as uint8.
+
+        Leaves are numbered right to left from ``first``; all of them must
+        fit below 256. ``cols[f]`` holds feature f of every row. With ``le``
+        1 where a row goes left, the code is ``r + le * (l - r)``, where l
+        and r are the children's codes; ``l - r >= 1`` on every row, since
+        every left leaf is numbered above every right one, so nothing wraps.
+        Numbered this way, a split over two leaves numbered from 0 needs no
+        pass beyond its comparison.
+        """
+        le = (cols[self.feature] <= self.threshold).view(np.uint8)
+        if self.height == 1:                 # two leaves: first + le
+            return le + first if first else le
+        left, right = self.left, self.right
+        split = first + right.leaves         # the left child's first leaf
+        l = left.codes(cols, split) if left.height else split
+        if right.height:
+            r = right.codes(cols, first)
+            le *= l - r
+            le += r
+        elif first:
+            le *= l - first
+            le += first
+        else:
+            le *= l
+        return le
 
 
 @dataclass
@@ -175,9 +221,10 @@ class BoostingModel(FittedModel):
     def _predict(self, X):
         # accumulate in the exact order used during fitting, so the residual
         # identity holds bit-for-bit on the training matrix
+        cols = _columns(X)
         out = np.full(X.shape[0], self.base_value, dtype=np.float64)
         for tree in self.trees:
-            out += self.shrinkage * _tree_apply(tree, X)
+            out += self.shrinkage * _tree_apply(tree, X, cols)
         return out
 
 
@@ -378,25 +425,50 @@ def _best_split(vs, yo, parent, min_leaf):
     return feat, mid if mid < b else a
 
 
-def _tree_apply(root: _Node, X: np.ndarray) -> np.ndarray:
+def _columns(X: np.ndarray) -> list:
+    """X's columns, each a contiguous copy.
+
+    One copy per column rather than one transposed matrix: a (15000, 3)
+    transpose is 360 KB, past glibc malloc's 128 KB mmap threshold, and
+    once a larger predict had run in the process, freeing and regrowing it
+    made a stump's predict on those rows 4-5 times slower (page faults). A
+    column of up to 16384 doubles stays below the threshold, as the output
+    vector does.
+    """
+    return [np.ascontiguousarray(X[:, f]) for f in range(X.shape[1])]
+
+
+def _tree_apply(root: _Node, X: np.ndarray,
+                cols: list | None = None) -> np.ndarray:
     """Leaf value of each row of X; ``x <= threshold`` goes left, NaN right.
 
-    A subtree at most ``_SELECT_HEIGHT`` tall routes its rows by nested
-    ``np.where`` selects (``_Node.select``), a pass per node; a taller one
-    splits by index, so deep trees stay O(depth x rows), not O(nodes x rows).
+    ``cols`` is ``_columns(X)``, made here if not given. A subtree at most
+    ``_CODE_HEIGHT`` tall routes all its rows at once: ``_Node.codes``
+    gives each row its leaf's number as uint8, one compare and at most
+    three uint8 passes per node, and one ``take`` from the leaf values
+    reads the output, so no double goes through arithmetic. A taller one
+    splits its rows by index, so deep trees stay O(depth x rows), not
+    O(nodes x rows).
     """
-    if root.height <= _SELECT_HEIGHT:
-        return root.select(X) if root.height else np.full(len(X), root.value)
+    if cols is None:
+        cols = _columns(X)
+    if root.height <= _CODE_HEIGHT:
+        if root.height:
+            return root.leaf_values().take(root.codes(cols))
+        return np.full(X.shape[0], root.value)
     out = np.empty(X.shape[0], dtype=np.float64)
     stack = [(root, np.arange(X.shape[0]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.height <= _SELECT_HEIGHT:
-            out[idx] = node.select(X[idx])
+        if node.is_leaf:
+            out[idx] = node.value
+        elif node.height <= _CODE_HEIGHT:
+            out[idx] = node.leaf_values().take(
+                node.codes([col.take(idx) for col in cols]))
         else:
-            mask = X[idx, node.feature] <= node.threshold
+            mask = cols[node.feature].take(idx) <= node.threshold
             stack.append((node.left, idx[mask]))
             stack.append((node.right, idx[~mask]))
     return out

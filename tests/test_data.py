@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from assistlearn import errors as err
+from assistlearn.core import FeaturePartition, TaskLabels
 from assistlearn.data import (SplitSpec, SyntheticSpec, gen_friedman1,
                               gen_linear, generate, load_csv, save_csv, split,
                               split_counts)
@@ -147,6 +148,44 @@ def test_csv_without_labels(tmp_path):
     save_csv(path, part)
     back = load_csv(path, "id")
     assert np.array_equal(back.features, part.features)
+
+
+def _per_row_csv(path, part, labels):
+    """The row-at-a-time writer that save_csv's one writerows call replaced."""
+    import csv
+    y = labels.lookup(part.ids).tolist() if labels else None
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", *part.feature_names]
+                        + (["y"] if y is not None else []))
+        for i, sid in enumerate(part.ids):
+            row = [sid] + [repr(v) for v in part.features[i].tolist()]
+            if y is not None:
+                row.append(repr(y[i]))
+            writer.writerow(row)
+
+
+def test_save_csv_writes_the_per_row_writer_bytes(tmp_path):
+    ids = ("a,b", 'say "hi"', "two words", "naïve-Ω", "00000001", " lead")
+    rng = np.random.default_rng(9)
+    feats = rng.standard_normal((len(ids), 3)) * 10.0 ** rng.integers(
+        -300, 300, (len(ids), 3))
+    feats[0] = [0.1, -0.0, 1e-320]
+    part = FeaturePartition(ids=ids, features=feats,
+                            feature_names=("x 1", "x,2", "x3"))
+    labels = TaskLabels(ids=ids[::-1], values=rng.standard_normal(len(ids)))
+    no_cols = FeaturePartition(ids=ids, features=np.empty((len(ids), 0)),
+                               feature_names=())
+    for name, p, lab in (("both", part, labels), ("plain", part, None),
+                         ("no-columns", no_cols, labels)):
+        got, expect = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        save_csv(got, p, lab)
+        _per_row_csv(expect, p, lab)
+        assert got.read_bytes() == expect.read_bytes(), name
+        back = load_csv(got, "id", label_column="y" if lab else None)
+        back = back[0] if lab else back
+        assert back.ids == ids
+        assert back.features.tobytes() == p.features.tobytes()
 
 
 def test_load_csv_errors(tmp_path):

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from assistlearn import learners
 from assistlearn.core import derive_seed
 from assistlearn.errors import DimensionMismatch, NonFiniteLoss
-from assistlearn.learners import (LEARNER_KINDS, LearnerSpec, _Node,
-                                  _tree_apply, dense_init,
+from assistlearn.learners import (LEARNER_KINDS, BoostingModel, LearnerSpec,
+                                  _Node, _tree_apply, dense_init,
                                   dense_loss_and_grads, fit_dense_net,
                                   fit_gradient_boosting, fit_learner,
                                   fit_least_squares, fit_regression_tree,
@@ -346,9 +349,9 @@ def test_boosting_matches_the_per_node_reference_grower(name, X, y):
         assert predict(model, X).tobytes() == pred.tobytes()
 
 
-# The index-partition router that select composition replaced: each node
-# gathers its column for its rows, compares, and splits the row indices.
-# The new router must give the same bytes on every tree and input.
+# The index-partition router that leaf codes replaced below the height cut:
+# each node gathers its column for its rows, compares, and splits the row
+# indices. The router must give the same bytes on every tree and input.
 
 def _ref_tree_apply(root, X):
     out = np.empty(X.shape[0], dtype=np.float64)
@@ -407,16 +410,44 @@ def _assert_routes_like_the_reference(tree, X):
     assert got.tobytes() == expect.tobytes()
 
 
-@pytest.mark.parametrize("depth", range(1, 9))
+# depths 9-12 pass the height cut, so leaf codes route the subtrees below
+# it and index splits the nodes above
+@pytest.mark.parametrize("depth", range(1, 13))
 def test_tree_routing_matches_the_index_partition_reference(depth):
     rng = np.random.default_rng(40 + depth)
     p = 3
     trees = [_random_tree(rng, depth, p, 0.0), _spine(depth, p)] + [
         _random_tree(rng, depth, p, 0.3) for _ in range(6)]
     assert trees[0].height == trees[1].height == depth
+    assert trees[0].leaves == 2 ** depth
     for tree in trees:
         for n in (0, 1, 2, 57, 3000):
             _assert_routes_like_the_reference(tree, _grid_rows(rng, n, p))
+
+
+def _full_tree(depth, values):
+    """A full tree whose level k splits on feature k at 0, so a row's signs
+    pick its leaf and every leaf can be reached."""
+    def grow(d):
+        if d == depth:
+            return _Node(value=float(next(values)))
+        return _Node(value=0.0, feature=d, threshold=0.0,
+                     left=grow(d + 1), right=grow(d + 1))
+    return grow(0)
+
+
+def test_a_full_tree_at_the_height_cut_reaches_all_256_leaves():
+    assert 2 ** learners._CODE_HEIGHT <= 256   # codes are uint8
+    tree = _full_tree(8, iter(np.arange(256.0) + 0.5))
+    assert (tree.height, tree.leaves) == (8, 256)
+    X = _grid_rows(np.random.default_rng(47), 15000, 8)
+    _assert_routes_like_the_reference(tree, X)
+    assert np.unique(_tree_apply(tree, X)).size == 256
+    # under an index split, as the top of a taller tree
+    taller = _Node(value=0.0, feature=0, threshold=-1.0,
+                   left=_Node(value=-1.0), right=tree)
+    assert taller.height == learners._CODE_HEIGHT + 1
+    _assert_routes_like_the_reference(taller, X)
 
 
 def test_tree_routing_edge_cases():
@@ -435,6 +466,87 @@ def test_tree_routing_edge_cases():
     leaf = _Node(value=3.25)
     for X in (np.empty((0, 0)), np.empty((4, 0)), np.ones((1, 2))):
         _assert_routes_like_the_reference(leaf, X)
+
+
+def _layouts(X):
+    """X in C and Fortran order and as a strided view of a wider matrix,
+    then its first column alone and none of its rows."""
+    wide = np.repeat(X, 2, axis=1)
+    wide[:, 1::2] = np.nan
+    return {"C": X, "fortran": np.asfortranarray(X), "strided": wide[:, ::2],
+            "one-column": X[:, :1], "no-rows": X[:0]}
+
+
+def test_routing_is_the_same_on_every_memory_layout():
+    rng = np.random.default_rng(48)
+    X = _grid_rows(rng, 2000, 3)
+    layouts = _layouts(X)
+    assert not layouts["strided"].flags["C_CONTIGUOUS"]
+    assert layouts["fortran"].flags["F_CONTIGUOUS"]
+    for depth in (1, 3, 8, 10):
+        for p in (3, 1):
+            tree = _random_tree(rng, depth, p, 0.2)
+            for rows in layouts.values():
+                if rows.shape[1] == p:
+                    _assert_routes_like_the_reference(tree, rows)
+    train = rng.standard_normal((300, 3))
+    y = np.sin(2 * train[:, 0]) + train[:, 1] * train[:, 2]
+    for p in (3, 1):
+        for depth in (1, 3, 9):
+            model = fit_gradient_boosting(train[:, :p], y, stages=5,
+                                          max_depth=depth, min_leaf=2,
+                                          shrinkage=0.5)
+            tree = fit_regression_tree(train[:, :p], y, max_depth=depth,
+                                       min_leaf=2)
+            for name, rows in layouts.items():
+                if rows.shape[1] != p:
+                    continue
+                expect = np.full(rows.shape[0], model.base_value)
+                for t in model.trees:
+                    expect += model.shrinkage * _ref_tree_apply(t, rows)
+                got = predict(model, rows)
+                assert got.tobytes() == expect.tobytes(), (p, depth, name)
+                assert predict(tree, rows).tobytes() == \
+                    _ref_tree_apply(tree.root, rows).tobytes()
+
+
+def test_threads_predicting_a_fresh_model_get_the_same_bytes():
+    # the leaf-value tables fill lazily on first use, so threads that start
+    # together race to fill them
+    rng = np.random.default_rng(49)
+    X = _grid_rows(rng, 1000, 3)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for attempt in range(10):
+            # full trees, whose tables take longest to fill, then lopsided
+            # ones and trees taller than the height cut
+            trees = tuple(_random_tree(rng, depth, 3, chance)
+                          for depth, chance in ((8, 0.0),) * 4 + (
+                              (3, 0.2), (8, 0.2), (11, 0.3)))
+            model = BoostingModel(kind="gradient_boosting", n=1, p=3,
+                                  base_value=0.25, shrinkage=0.1,
+                                  trees=trees)
+            expect = np.full(X.shape[0], 0.25)
+            for tree in trees:
+                expect += 0.1 * _ref_tree_apply(tree, X)
+            start = threading.Barrier(4)
+            got = [None] * 4
+
+            def work(i):
+                start.wait(timeout=10.0)
+                got[i] = predict(model, X).tobytes()
+
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [expect.tobytes()] * 4, attempt
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_boosting_predict_is_the_in_order_sum_of_its_trees():
