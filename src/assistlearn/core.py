@@ -35,6 +35,15 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def check_int(name: str, value, least=None) -> None:
+    """ValueError unless ``value`` is an int or a numpy integer, never a
+    bool, and at least ``least`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 def id_frame(ids: Sequence[SampleId]) -> bytes:
     """The ids joined by newlines in UTF-8, the wire's id frame; ValueError
     unless each is a non-empty str with no newline that encodes as UTF-8,

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import derive_seed
+from .core import check_int, derive_seed
 from .errors import DimensionMismatch, NonFiniteLoss
 
 LEARNER_KINDS = ("least_squares", "ridge", "regression_tree",
@@ -103,9 +103,8 @@ _INTEGER = {*_AT_LEAST, "seed"} - {"lam"}  # counts, depths and seeds
 def _check_params(p: dict) -> None:
     """Type and range checks shared by LearnerSpec and the fit_* functions."""
     for key, value in p.items():
-        if key in _INTEGER and (isinstance(value, bool)
-                                or not isinstance(value, (int, np.integer))):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if key in _INTEGER:
+            check_int(key, value)
         if key in _AT_LEAST and value < _AT_LEAST[key]:
             raise ValueError(f"{key} must be >= {_AT_LEAST[key]}")
         if key in _ABOVE and value <= _ABOVE[key]:

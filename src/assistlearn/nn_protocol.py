@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align
+from .core import LocalModule, TaskLabels, align, check_int
 from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
 from .protocol import (Peer, ProtocolConfig, alice_rows, argmin_round,
@@ -69,10 +69,8 @@ class NetOptConfig:
     def __post_init__(self):
         if self.rate <= 0:
             raise ValueError("rate must be > 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        check_int("batch", self.batch, 1)
+        check_int("epochs", self.epochs, 1)
 
 
 @dataclass(frozen=True)
@@ -91,8 +89,7 @@ class NnConfig:
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+        check_int("hidden", self.hidden, 1)
         ProtocolConfig(max_rounds=self.max_rounds, patience=self.patience,
                        tol_rel=self.tol_rel,
                        holdout_fraction=self.holdout_fraction,

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align, derive_seed
+from .core import LocalModule, TaskLabels, align, check_int, derive_seed
 from .data import SplitSpec, split as id_split
 from .learners import LearnerSpec, fit_learner, predict
 from .metrics import mad, rms, rmse
@@ -82,10 +82,8 @@ class ProtocolConfig:
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        check_int("max_rounds", self.max_rounds, 1)
+        check_int("patience", self.patience, 1)
         if self.tol_rel < 0:
             raise ValueError("tol_rel must be >= 0")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -438,33 +436,30 @@ class Peer:
         ``hidden``."""
         reply, _ = self._send("WTILDE_TRANSFER", round_no, ids, payload,
                               "WTILDE_TRANSFER")
-        out = {name: reply.payload[name]
-               for name in ("b_hidden", "w_out", "b_out")}
-        if {np.shape(out["b_hidden"]), np.shape(out["w_out"])} != {(hidden,)}:
+        if reply.payload["b_hidden"].shape != (hidden,):
             raise err.ShapeMismatch(f"WTILDE_TRANSFER reply does not fit "
                                     f"hidden width {hidden}")
-        return out
+        return reply.payload
 
     def labels(self, payload: dict) -> int:
         """Send the LABELS_TRANSFER set-up; return the peer's column count."""
-        ack = self._request("LABELS_TRANSFER", 0, payload, "LABELS_TRANSFER")
-        own_cols = ack.payload.get("own_cols")
-        if own_cols is None or own_cols < 0:
-            raise err.MalformedMessage("bad LABELS_TRANSFER ack")
-        return int(own_cols)
+        return self._request("LABELS_TRANSFER", 0, payload,
+                             "LABELS_TRANSFER").payload["own_cols"]
 
     def _request(self, kind: str, round_no: int, payload: dict,
                  expect: str) -> Envelope:
-        """The reply, if of kind ``expect``; ERROR re-raises the remote
-        error and any other kind is MalformedMessage."""
+        """The reply, if in the reply form of ``expect``; ERROR re-raises
+        the remote error and anything else is MalformedMessage."""
         env = Envelope(kind=kind, task=self.task_id, round=round_no,
                        sender=self.sender, receiver=self.endpoint.module_id,
                        payload=payload)
         reply = self.endpoint.request(env, timeout=self.timeout)
         if reply.kind == "ERROR":
             _raise_remote(reply)
-        if reply.kind != expect:
-            raise err.MalformedMessage(f"expected {expect}, got {reply.kind}")
+        if reply.kind != expect or not reply.is_reply:
+            form = "reply" if reply.is_reply else "request"
+            raise err.MalformedMessage(
+                f"expected a {expect} reply, got a {reply.kind} {form}")
         return reply
 
     def _send(self, kind: str, round_no: int, ids, payload: dict,
@@ -497,8 +492,6 @@ class Peer:
         (name, value), = form.items()
         if reply.payload.get(name) != value:
             raise err.ShapeMismatch("reply ids differ from request ids")
-        if field not in reply.payload:
-            raise err.MalformedMessage(f"{expect} reply without {field!r}")
         out = np.array(reply.payload[field], dtype=np.float64)
         if out.shape != (len(ids), *cols):
             raise err.ShapeMismatch(
@@ -507,7 +500,7 @@ class Peer:
 
 
 def _raise_remote(reply: Envelope):
-    name = reply.payload.get("error", "TransportError")
+    name = reply.payload["error"]
     message = reply.payload.get("message", "")
     cls = getattr(err, name, None)
     if isinstance(cls, type) and issubclass(cls, err.AssistError):

@@ -9,26 +9,31 @@ UTF-8. The header holds each float field's count, a matrix's column count
 (``cols``), the id count (``ids``) and the id frame's size (``id_bytes``);
 rounds and scalars stay plain JSON. Other versions are UnsupportedVersion.
 
+Each kind has a request form, a reply form or both (``_SCHEMAS``); a form
+names each field it carries, with its check, and a payload must be exactly
+one form of its kind. Only PARTIAL_PREACT's reply and WTILDE_TRANSFER's
+request admit a matrix, and FIT and PREDICT forms only flat vectors, which
+enforces feature confinement structurally. Counts out of range and repeated
+rounds are MalformedMessage, rows that do not fit the ids ShapeMismatch.
+``Envelope.is_reply`` (never sent) names the form: a responder serves only
+request forms, and a ``Peer`` takes only the reply form it expects.
+
 An Envelope holds each float field as its own read-only float64 copy of the
 caller's array (NaN and infinity refused), which is what ``decode`` rebuilds
 from the frames, so the in-process transport is identical to TCP; its
-``ids`` are a list that keeps the frame ``core.id_frame`` checked. Payloads
-are schema-checked per kind: FIT and PREDICT kinds admit only flat vectors
-and only PARTIAL_PREACT and WTILDE_TRANSFER a matrix, which enforces feature
-confinement structurally. ``decode`` checks the header before it touches a
-frame byte: a ``values`` frame must hold one float per id and a matrix one
-row per id (ShapeMismatch). Frame bytes short of the declared sizes or left
-over after them, and an id frame that is not UTF-8 or does not split into
-the declared ids, are MalformedMessage.
+``ids`` are a list that keeps the frame ``core.id_frame`` checked.
+``decode`` checks that the header is one form whose frames fit its id count
+before it touches a frame byte. Frame bytes short of the declared sizes or
+left over after them, and an id frame that is not UTF-8 or does not split
+into the declared ids, are MalformedMessage.
 
-FIT, PREDICT, PARTIAL_PREACT and WTILDE_TRANSFER requests name their ids
-either as ``ids`` or as ``id_set``, the ``id_digest`` of a list the same
-task already sent to this peer: SHA-256 hex of its id frame, which is
-injective. Both or neither is MalformedMessage, and a reply echoes the form
-its request used. With an ``id_set`` the frames are checked against the ids
-once they resolve. A responder keeps each task's lists and their read-only
-rows, least recently used first, up to ID_SET_CAP ids; a digest it does not
-hold is UnknownIdSet, raised before any state changes.
+In every form that has ``ids`` but LABELS_TRANSFER's, ``id_set`` may stand
+in for them: the ``id_digest`` of a list the same task already sent to this
+peer, SHA-256 hex of its id frame, which is injective. A reply echoes the
+id field its request used. With an ``id_set`` the frames are checked
+against the ids once they resolve. A responder keeps each task's lists and
+their read-only rows, least recently used first, up to ID_SET_CAP ids; a
+digest it does not hold is UnknownIdSet, raised before any state changes.
 
 A module serves peers through ``ModuleResponder.answer``, which turns any
 failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
@@ -147,10 +152,6 @@ def _is_array(ndim):
     return lambda v: isinstance(v, np.ndarray) and v.ndim == ndim
 
 
-def _is_list(v):  # ids, which an Envelope checks in ``_id_list``
-    return isinstance(v, list)
-
-
 def _is_int_list(v):
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
@@ -159,52 +160,72 @@ def _is_digest(v):
     return isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None
 
 
-_VECTOR, _MATRIX = _is_array(1), _is_array(2)
-# an id-bearing kind takes ``id_set`` in place of ``ids``
-_ID_SET = {"id_set": _is_digest}
+def _at_least(least):
+    return lambda v: _is_int(v) and v >= least
 
-# kind -> (required fields, optional fields)
-_SCHEMAS: dict[str, tuple[dict, dict]] = {
-    "FIT_REQUEST": ({"ids": _is_list, "values": _VECTOR}, _ID_SET),
-    "FIT_RESPONSE": ({"ids": _is_list, "values": _VECTOR}, _ID_SET),
-    "PREDICT_REQUEST": ({"ids": _is_list, "rounds": _is_int_list}, _ID_SET),
-    "PREDICT_RESPONSE": ({"ids": _is_list, "values": _VECTOR}, _ID_SET),
-    "PARTIAL_PREACT": ({"ids": _is_list}, {"matrix": _MATRIX, **_ID_SET}),
+
+_VECTOR, _MATRIX = _is_array(1), _is_array(2)
+_IDS = {"ids": lambda v: isinstance(v, list)}  # checked in ``_id_list``
+_RESIDUAL = {**_IDS, "values": _VECTOR}
+_SHARED = {"b_hidden": _VECTOR, "w_out": _VECTOR, "b_out": _is_num}
+
+# kind -> (request form, reply form), None where the kind has no such form;
+# a form names every field a message of it carries, with the field's check
+_SCHEMAS: dict[str, tuple[dict | None, dict | None]] = {
+    "FIT_REQUEST": (_RESIDUAL, None),
+    "FIT_RESPONSE": (None, _RESIDUAL),
+    "PREDICT_REQUEST": ({**_IDS, "rounds": lambda v: _is_int_list(v)
+                         and len(set(v)) == len(v)}, None),
+    "PREDICT_RESPONSE": (None, _RESIDUAL),
+    "PARTIAL_PREACT": (_IDS, {**_IDS, "matrix": _MATRIX}),
     "WTILDE_TRANSFER": (
-        {"b_hidden": _VECTOR, "w_out": _VECTOR, "b_out": _is_num},
-        {"ids": _is_list, "matrix": _MATRIX, **_ID_SET,
-         "rate": _is_num, "batch": _is_int, "epochs": _is_int},
+        {**_IDS, "matrix": _MATRIX, **_SHARED,
+         "rate": lambda v: _is_num(v) and v > 0,
+         "batch": _at_least(1), "epochs": _at_least(1)},
+        _SHARED,
     ),
     "LABELS_TRANSFER": (
-        {},
-        {"ids": _is_list, "values": _VECTOR, "seed": _is_int,
-         "hidden": _is_int, "peer_cols": _is_int, "own_cols": _is_int},
+        {**_IDS, "values": _VECTOR, "seed": _at_least(0),
+         "hidden": _at_least(1), "peer_cols": _at_least(0)},
+        {"own_cols": _at_least(0)},
     ),
-    "ERROR": ({"error": _is_str}, {"message": _is_str}),
+    "ERROR": (None, {"error": _is_str, "message": _is_str}),
 }
 KINDS = frozenset(_SCHEMAS)
 
 
-def validate_payload(kind: str, payload: dict) -> None:
-    """Schema-check a payload as an Envelope holds it (float fields as
-    float64 arrays, ids as lists ``_id_list`` checked) for the given kind."""
-    if kind not in KINDS:
-        raise err.MalformedMessage(f"unknown kind {kind!r}")
-    required, optional = _SCHEMAS[kind]
-    present = payload.keys()
-    if "id_set" in present and "id_set" in optional:
-        if "ids" in present:
-            raise err.MalformedMessage(f"{kind}: both ids and id_set")
-        present = present | {"ids"}
-    for name in required:
-        if name not in present:
-            raise err.MalformedMessage(f"{kind}: missing field {name!r}")
-    for name, value in payload.items():
-        check = required.get(name) or optional.get(name)
-        if check is None:
-            raise err.MalformedMessage(f"{kind}: unexpected field {name!r}")
-        if not check(value):
+def _form(kind: str, names) -> tuple[dict, bool]:
+    """The checks of ``kind``'s form with exactly the fields ``names``, where
+    ``id_set`` stands in for ``ids`` but in the LABELS_TRANSFER set-up and an
+    ERROR may leave out its ``message``, and whether it is the reply form."""
+    names = set(names)
+    if "id_set" in names and "ids" not in names and kind != "LABELS_TRANSFER":
+        names ^= {"id_set", "ids"}
+    if kind == "ERROR":
+        names.add("message")
+    for side, checks in enumerate(_SCHEMAS.get(kind, ())):
+        if checks is not None and checks.keys() == names:
+            return checks, side == 1
+    raise err.MalformedMessage(f"{kind}: no form has these fields")
+
+
+def validate_payload(kind: str, payload: dict) -> bool:
+    """Check a payload as an Envelope holds it (float fields as float64
+    arrays, ids as lists ``_id_list`` checked) against the forms of ``kind``;
+    True if it is the reply form. Lengths that disagree are ShapeMismatch."""
+    checks, is_reply = _form(kind, payload.keys())
+    for name, value in payload.items():  # a name the form lacks is id_set
+        if not checks.get(name, _is_digest)(value):
             raise err.MalformedMessage(f"{kind}: bad field {name!r}")
+    rows = payload.get("values", payload.get("matrix"))
+    if "ids" in payload and rows is not None \
+            and len(rows) != len(payload["ids"]):
+        raise err.ShapeMismatch(
+            f"{kind}: {len(payload['ids'])} ids but {len(rows)} rows")
+    if "w_out" in payload \
+            and len(payload["w_out"]) != len(payload["b_hidden"]):
+        raise err.ShapeMismatch(f"{kind}: b_hidden and w_out differ in length")
+    return is_reply
 
 
 _HEADER = operator.attrgetter("v", "kind", "task", "round", "sender",
@@ -213,7 +234,9 @@ _HEADER = operator.attrgetter("v", "kind", "task", "round", "sender",
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
-    """One protocol message. Payload is normalized and schema-checked."""
+    """One protocol message. Payload is normalized and schema-checked;
+    ``is_reply`` says whether it is its kind's reply form, and is never
+    sent."""
 
     kind: str
     task: str
@@ -222,6 +245,7 @@ class Envelope:
     receiver: str
     payload: dict = field(default_factory=dict)
     v: int = WIRE_VERSION
+    is_reply: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.v != WIRE_VERSION:
@@ -239,7 +263,8 @@ class Envelope:
         payload = {str(k): _frame(v) if k in _FRAMES else _id_list(v)
                    if k == "ids" else _plain(v)
                    for k, v in self.payload.items()}
-        validate_payload(self.kind, payload)
+        object.__setattr__(self, "is_reply",
+                           validate_payload(self.kind, payload))
         object.__setattr__(self, "payload", payload)
 
     def __eq__(self, other):
@@ -276,25 +301,22 @@ def encode(envelope: Envelope) -> bytes:
 
 def _frame_shapes(kind: str, payload: dict) -> dict:
     """(byte size, float64 shape) of each frame the header declares, in
-    frame order, checked against the kind and, when the payload carries the
-    list, the id count; the id frame's shape is None."""
-    required, optional = _SCHEMAS[kind]
+    frame order (the id frame's shape is None). The header less ``id_bytes``
+    and ``cols`` must be one form, whose counts fit the ids it carries."""
+    id_bytes = payload.pop("id_bytes", None) if "ids" in payload else None
+    cols = payload.pop("cols", None) if "matrix" in payload else None
+    _form(kind, payload.keys())
     rows = payload.get("ids")
     shapes = {}
     for name in sorted((_FRAMES | {"ids"}) & payload.keys()):
         count = payload[name]
-        if name not in required and name not in optional:
-            raise err.MalformedMessage(f"{kind}: unexpected field {name!r}")
-        size = payload.pop("id_bytes", None) if name == "ids" else 0
+        size = id_bytes if name == "ids" else 0
         if not _is_int(count) or count < 0 or not _is_int(size) or size < 0:
             raise err.MalformedMessage(f"{name}: not a count, or no id_bytes")
         shapes[name] = (size, None) if name == "ids" else (8 * count, (count,))
         if name == "matrix":
-            cols = payload.pop("cols", None)
-            if not _is_int(cols) or cols < 1 \
-                    or rows is None and "id_set" not in payload:
-                raise err.MalformedMessage(
-                    "matrix needs ids or id_set, and cols >= 1")
+            if not _is_int(cols) or cols < 1:
+                raise err.MalformedMessage("matrix needs cols >= 1")
             if count % cols or rows not in (None, count // cols):
                 raise err.ShapeMismatch(f"{count} floats, {rows} x {cols}")
             shapes[name] = (8 * count, (count // cols, cols))
@@ -425,18 +447,12 @@ class ModuleResponder:
             return self._reply(env, "ERROR", payload)
 
     def handle(self, env: Envelope) -> Envelope:
+        """Serve a request form; a reply form is MalformedMessage."""
+        if env.is_reply:
+            raise err.MalformedMessage(
+                f"{env.kind} reply form sent as a request")
         with self._lock_for(env.task):
-            if env.kind == "FIT_REQUEST":
-                return self._fit(env)
-            if env.kind == "PREDICT_REQUEST":
-                return self._predict(env)
-            if env.kind == "LABELS_TRANSFER":
-                return self._labels(env)
-            if env.kind == "PARTIAL_PREACT":
-                return self._partial(env)
-            if env.kind == "WTILDE_TRANSFER":
-                return self._wtilde(env)
-            raise err.MalformedMessage(f"cannot serve kind {env.kind}")
+            return self._SERVE[env.kind](self, env)
 
     def _lock_for(self, task: str) -> threading.Lock:
         with self._guard:
@@ -454,8 +470,6 @@ class ModuleResponder:
         past ID_SET_CAP ids; an ``id_set`` must name a cached list
         (UnknownIdSet). An absent row is MissingTestRows."""
         p = env.payload
-        if ("ids" in p) == ("id_set" in p):
-            raise err.MalformedMessage(f"{env.kind} needs ids or id_set")
         echo = {"ids": p["ids"]} if "ids" in p else {"id_set": p["id_set"]}
         key = (env.task, echo.get("id_set")
                or hashlib.sha256(p["ids"].frame).hexdigest())
@@ -490,12 +504,9 @@ class ModuleResponder:
 
     def _predict(self, env: Envelope) -> Envelope:
         from .learners import predict
-        rounds = env.payload["rounds"]
-        if len(set(rounds)) != len(rounds):
-            raise err.MalformedMessage("PREDICT_REQUEST repeats a round")
         ids, X, echo = self._id_rows(env)
         total = np.zeros(len(ids))
-        for r in rounds:
+        for r in env.payload["rounds"]:
             model = self.module.stored_model(env.task, r)
             total += predict(model, X)
         return self._reply(env, "PREDICT_RESPONSE", {**echo, "values": total})
@@ -513,17 +524,6 @@ class ModuleResponder:
                 raise err.StorageConflict(
                     f"task {env.task!r} already has a different setup")
             return self._reply(env, "LABELS_TRANSFER", {"own_cols": own_cols})
-        for name in ("ids", "values", "seed", "hidden", "peer_cols"):
-            if name not in p:
-                raise err.MalformedMessage(f"LABELS_TRANSFER missing {name!r}")
-        if p["hidden"] < 1 or p["peer_cols"] < 0 or p["seed"] < 0:
-            raise err.MalformedMessage(
-                "LABELS_TRANSFER needs hidden >= 1, peer_cols >= 0 and "
-                "seed >= 0")
-        if len(p["ids"]) != len(p["values"]):
-            raise err.ShapeMismatch(
-                f"LABELS_TRANSFER has {len(p['ids'])} ids but "
-                f"{len(p['values'])} values")
         labels = TaskLabels(ids=p["ids"], values=p["values"])
         w_in, _, _, _ = dense_init(p["peer_cols"] + own_cols, p["hidden"],
                                    p["seed"])
@@ -548,14 +548,6 @@ class ModuleResponder:
         from .nn_protocol import NetOptConfig, SharedWeights, bob_update_round
         svc = self._service(env.task)
         p = env.payload
-        for name in ("matrix", "rate", "batch", "epochs"):
-            if name not in p:
-                raise err.MalformedMessage(f"WTILDE_TRANSFER missing {name!r}")
-        try:
-            opt = NetOptConfig(rate=p["rate"], batch=p["batch"],
-                               epochs=p["epochs"], seed=svc.seed)
-        except ValueError as exc:
-            raise err.MalformedMessage(f"WTILDE_TRANSFER: {exc}") from None
         # the peer's round and shapes are checked before any arithmetic
         if env.round % 2:
             raise err.MalformedMessage(f"round {env.round} is Alice's")
@@ -570,16 +562,22 @@ class ModuleResponder:
         weights = svc.snapshots[latest]
         width = weights.shape[1]
         ids, X, _ = self._id_rows(env)
-        if (p["matrix"].shape, p["b_hidden"].shape, p["w_out"].shape) \
-                != ((len(ids), width), (width,), (width,)):
+        if (p["matrix"].shape, p["b_hidden"].shape) \
+                != ((len(ids), width), (width,)):
             raise err.ShapeMismatch(f"shapes do not fit hidden width {width}")
         y = svc.labels.lookup(ids)
         shared = SharedWeights(b_hidden=p["b_hidden"], w_out=p["w_out"],
                                b_out=p["b_out"])
+        opt = NetOptConfig(rate=p["rate"], batch=p["batch"],
+                           epochs=p["epochs"], seed=svc.seed)
         w_new, shared_new = bob_update_round(weights, env.round, X,
                                              p["matrix"], y, shared, opt)
         svc.snapshots[env.round] = w_new
         return self._reply(env, "WTILDE_TRANSFER", vars(shared_new))
+
+    _SERVE = {"FIT_REQUEST": _fit, "PREDICT_REQUEST": _predict,
+              "LABELS_TRANSFER": _labels, "PARTIAL_PREACT": _partial,
+              "WTILDE_TRANSFER": _wtilde}
 
 
 @dataclass

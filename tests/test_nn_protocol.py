@@ -45,14 +45,15 @@ def test_shared_weights_validation():
 
 
 def test_opt_config_validation():
-    with pytest.raises(ValueError):
-        NetOptConfig(rate=0.0)
-    with pytest.raises(ValueError):
-        NetOptConfig(batch=0)
-    with pytest.raises(ValueError):
-        NetOptConfig(epochs=0)
-    with pytest.raises(ValueError):
-        NnConfig(hidden=0)
+    for bad in ({"rate": 0.0}, {"batch": 0}, {"epochs": 0},
+                {"epochs": 1.5}, {"batch": True}):
+        with pytest.raises(ValueError):
+            NetOptConfig(**bad)
+    for bad in ({"hidden": 0}, {"hidden": 2.5}, {"batch": 1.5},
+                {"max_rounds": 3.0}, {"epochs_per_round": 1.5}):
+        with pytest.raises(ValueError):
+            NnConfig(**bad)
+    assert NnConfig(hidden=np.int64(4), batch=np.int32(8)).opt().batch == 8
     with pytest.raises(ValueError):
         NnConfig(holdout_fraction=1.0)
     with pytest.raises(ValueError):

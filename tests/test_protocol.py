@@ -324,10 +324,12 @@ def test_stacking_accepts_per_partition_spec_lists():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ProtocolConfig(max_rounds=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(patience=0)
+    for bad in ({"max_rounds": 0}, {"patience": 0}, {"max_rounds": 2.5},
+                {"patience": True}, {"max_rounds": "3"}):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**bad)
+    assert ProtocolConfig(max_rounds=np.int64(3), patience=np.int32(1)) \
+        .max_rounds == 3
     with pytest.raises(ValueError):
         ProtocolConfig(tol_rel=-1.0)
     with pytest.raises(ValueError):
@@ -375,9 +377,17 @@ def _partial(ep):
     return _peer(ep).partial(1, ["a", "b"], 1)
 
 
+_SETUP = {"values": [1.0, 2.0], "seed": 0, "hidden": 1, "peer_cols": 1}
+_WTILDE = {"matrix": [[0.0], [1.0]], "b_hidden": [0.0], "w_out": [0.5],
+           "b_out": 0.0, "rate": 0.01, "batch": 2, "epochs": 1}
+
+
 def _labels(ep):
-    return _peer(ep).labels({"ids": ["a", "b"], "values": [1.0, 2.0],
-                             "seed": 0, "hidden": 1, "peer_cols": 1})
+    return _peer(ep).labels({"ids": ["a", "b"], **_SETUP})
+
+
+def _wtilde(ep):
+    return _peer(ep).wtilde(2, ["a", "b"], _WTILDE, 1)
 
 
 @pytest.mark.parametrize("call, kind, payload, error", [
@@ -393,6 +403,14 @@ def _labels(ep):
      lambda ids: {"ids": ids, "matrix": [[0.0]]}, err.ShapeMismatch),
     (_labels, "LABELS_TRANSFER", lambda ids: {}, err.MalformedMessage),
     (_labels, "LABELS_TRANSFER", lambda ids: {"own_cols": -2},
+     err.MalformedMessage),
+    (_wtilde, "WTILDE_TRANSFER", lambda ids: {
+        "b_hidden": [0.0], "w_out": [0.5, 0.5], "b_out": 0.0},
+     err.ShapeMismatch),
+    # a reply that echoes its request's form
+    (_wtilde, "WTILDE_TRANSFER", lambda ids: {"ids": ids, **_WTILDE},
+     err.MalformedMessage),
+    (_labels, "LABELS_TRANSFER", lambda ids: {"ids": ids, **_SETUP},
      err.MalformedMessage),
 ])
 def test_reply_kind_ids_and_length_are_checked(call, kind, payload, error):

@@ -87,7 +87,8 @@ def test_encode_is_single_json_line():
                                           .reshape(2, 3),
                                           "w_out": [7.0, 8.0, 9.0],
                                           "b_hidden": [4.0, 5.0, 6.0],
-                                          "b_out": 0.5})
+                                          "b_out": 0.5, "rate": 0.01,
+                                          "batch": 2, "epochs": 1})
     header, frames = encode(env).split(b"\n", 1)
     payload = json.loads(header)["payload"]
     assert (payload["ids"], payload["id_bytes"], payload["cols"]) == (2, 3, 3)
@@ -208,6 +209,17 @@ def _decode_both_ways(message):
     return outcomes[0]
 
 
+def _schema_refuses(responder, kind, payload, error, round_no=1):
+    """Building ``payload`` as ``kind`` into an Envelope raises ``error``,
+    and the same message as bytes gets an ERROR naming it from
+    ``responder``."""
+    with pytest.raises(getattr(err, error)):
+        Envelope(kind=kind, task="t", round=round_no, sender="a",
+                 receiver="m", payload=payload)
+    reply = responder.answer(_frame_line(kind, _wire(payload), round_no))
+    assert (reply.kind, reply.payload["error"]) == ("ERROR", error)
+
+
 def test_decode_checks_frames_against_the_ids():
     def check(kind, payload):
         return _decode_both_ways(_frame_line(kind, payload))
@@ -238,6 +250,15 @@ def test_decode_checks_frames_against_the_ids():
     with pytest.raises(err.MalformedMessage):
         check("FIT_REQUEST", {"ids": ids, "values": _f8([1, 2, 3]),
                               **partial})
+    # a header that is no form is refused before any frame byte is read
+    for kind, header in (
+            ("PARTIAL_PREACT", {"matrix": 6, "cols": 2}),
+            ("FIT_REQUEST", {"ids": ids, "values": 3, "matrix": 6,
+                             "cols": 2}),
+            ("PREDICT_REQUEST", {"ids": ids, "id_set": _AB, "rounds": [1]})):
+        line = _frame_line(kind, header).partition(b"\n")[0] + b"\n"
+        with pytest.raises(err.MalformedMessage):
+            decode(line, _Unread())
     with pytest.raises(err.NonFinitePayload):
         check("FIT_REQUEST", {"ids": ids, "values": _f8([1, np.nan, 3])})
     # an empty list takes empty frames
@@ -650,7 +671,8 @@ def test_fit_round_trip_stores_model_and_returns_residual():
 
 def test_fit_rejects_round_zero_and_double_write():
     module = _module(seed=3)
-    ep = local_endpoint(module)
+    responder = ModuleResponder(module)
+    ep = InProcEndpoint(responder)
     y = list(np.zeros(20))
     bad = ep.request(_fit_env(module, module.partition.ids, y, round_no=0))
     assert bad.kind == "ERROR" and bad.payload["error"] == "MalformedMessage"
@@ -658,14 +680,16 @@ def test_fit_rejects_round_zero_and_double_write():
     assert ok.kind == "FIT_RESPONSE"
     dup = ep.request(_fit_env(module, module.partition.ids, y, round_no=1))
     assert dup.kind == "ERROR" and dup.payload["error"] == "StorageConflict"
-    short = ep.request(_fit_env(module, module.partition.ids, y[:-1],
-                                round_no=2))
-    assert short.kind == "ERROR" and short.payload["error"] == "ShapeMismatch"
+    _schema_refuses(responder, "FIT_REQUEST",
+                    {"ids": list(module.partition.ids), "values": y[:-1]},
+                    "ShapeMismatch", round_no=2)
+    assert list(module.model_store) == [("t", 1)]
 
 
 def test_predict_sums_requested_rounds():
     module = _module(seed=5)
-    ep = local_endpoint(module)
+    responder = ModuleResponder(module)
+    ep = InProcEndpoint(responder)
     rng = np.random.default_rng(6)
     resid = rng.standard_normal(20)
     for r in (1, 2):
@@ -679,11 +703,12 @@ def test_predict_sums_requested_rounds():
     X = module.partition.features[:5]
     expect = sum(predict(module.stored_model("t", r), X) for r in (1, 2))
     assert np.allclose(out.payload["values"], expect, atol=1e-12)
-    twice = ep.request(Envelope(kind="PREDICT_REQUEST", task="t", round=2,
-                                sender="alice", receiver="m",
-                                payload={"ids": list(ids), "rounds": [1, 1]}))
-    assert twice.kind == "ERROR"
-    assert twice.payload["error"] == "MalformedMessage"
+    cached = list(responder._id_sets)
+    _schema_refuses(responder, "PREDICT_REQUEST",
+                    {"ids": list(ids), "rounds": [1, 1]}, "MalformedMessage",
+                    round_no=2)
+    assert list(responder._id_sets) == cached
+    assert sorted(module.model_store) == [("t", 1), ("t", 2)]
 
 
 def test_predict_unknown_ids_and_rounds_become_errors():
@@ -713,14 +738,20 @@ def test_predict_unknown_ids_and_rounds_become_errors():
 def test_labels_transfer_rejects_mismatched_or_repeated_ids(ids, values,
                                                            error, bad_setup):
     module = _module(seed=8)
-    ep = local_endpoint(module)
+    responder = ModuleResponder(module)
+    ep = InProcEndpoint(responder)
     setup = {"seed": 1, "hidden": 3, "peer_cols": 2}
-    reply = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
-                                sender="alice", receiver="m",
-                                payload={"ids": ids, "values": values,
-                                         **setup, **bad_setup}))
-    assert reply.kind == "ERROR"
-    assert reply.payload["error"] == error
+    payload = {"ids": ids, "values": values, **setup, **bad_setup}
+    if error == "DuplicateId":  # TaskLabels finds it, not the schema
+        for request in (Envelope(kind="LABELS_TRANSFER", task="t", round=0,
+                                 sender="a", receiver="m", payload=payload),
+                        _frame_line("LABELS_TRANSFER", _wire(payload), 0)):
+            reply = responder.answer(request)
+            assert (reply.kind, reply.payload["error"]) == ("ERROR", error)
+    else:
+        _schema_refuses(responder, "LABELS_TRANSFER", payload, error,
+                        round_no=0)
+    assert responder._nn == {}
     ok = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
                              sender="alice", receiver="m",
                              payload={"ids": ids[:1], "values": values[:1],
@@ -732,7 +763,8 @@ def test_labels_transfer_rejects_mismatched_or_repeated_ids(ids, values,
                                      {"epochs": 0}])
 def test_wtilde_rejects_bad_optimizer_settings(bad_opt):
     module = _module(seed=8)
-    ep = local_endpoint(module)
+    responder = ModuleResponder(module)
+    ep = InProcEndpoint(responder)
     ids = ["0000", "0001"]
     setup = ep.request(Envelope(kind="LABELS_TRANSFER", task="t", round=0,
                                 sender="alice", receiver="m",
@@ -746,22 +778,24 @@ def test_wtilde_rejects_bad_optimizer_settings(bad_opt):
     ok = ep.request(Envelope(kind="WTILDE_TRANSFER", task="t", round=2,
                              sender="alice", receiver="m", payload=payload))
     assert ok.kind == "WTILDE_TRANSFER"
-    reply = ep.request(Envelope(kind="WTILDE_TRANSFER", task="t", round=4,
-                                sender="alice", receiver="m",
-                                payload={**payload, **bad_opt}))
-    assert reply.kind == "ERROR"
-    assert reply.payload["error"] == "MalformedMessage"
+    _schema_refuses(responder, "WTILDE_TRANSFER", {**payload, **bad_opt},
+                    "MalformedMessage", round_no=4)
+    assert sorted(responder._nn["t"].snapshots) == [0, 2]
 
 
-@pytest.mark.parametrize("round_no, rows, cols, b_len, error", [
-    (3, 10, 3, 3, "MalformedMessage"),   # odd rounds are the label owner's
-    (2, 10, 4, 3, "ShapeMismatch"),      # matrix wider than Bob's block
-    (2, 8, 3, 3, "ShapeMismatch"),       # fewer rows than ids
-    (2, 12, 3, 3, "ShapeMismatch"),      # more rows than ids
-    (2, 10, 3, 2, "ShapeMismatch"),      # b_hidden/w_out not hidden long
-], ids=["odd-round", "width", "fewer-rows", "more-rows", "shared-length"])
+@pytest.mark.parametrize("round_no, rows, cols, b_len, w_len, error, schema", [
+    (3, 10, 3, 3, 3, "MalformedMessage", False),  # odd rounds are Alice's
+    (2, 10, 4, 3, 3, "ShapeMismatch", False),     # wider than Bob's block
+    (2, 8, 3, 3, 3, "ShapeMismatch", True),       # fewer rows than ids
+    (2, 12, 3, 3, 3, "ShapeMismatch", True),      # more rows than ids
+    (2, 10, 3, 2, 2, "ShapeMismatch", False),     # not hidden long
+    (2, 10, 3, 3, 2, "ShapeMismatch", True),      # b_hidden, w_out unequal
+], ids=["odd-round", "width", "fewer-rows", "more-rows", "shared-length",
+        "unequal-shared"])
 def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
-        round_no, rows, cols, b_len, error, caplog):
+        round_no, rows, cols, b_len, w_len, error, schema, caplog):
+    """The schema refuses what one message shows; the responder refuses
+    what its state shows."""
     module = _module(seed=8)
     responder = ModuleResponder(module)
     ids = list(module.partition.ids[:10])
@@ -770,18 +804,21 @@ def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
         receiver="m", payload={"ids": ids, "values": np.arange(10.0),
                                "seed": 1, "hidden": 3, "peer_cols": 2}))
     assert setup.kind == "LABELS_TRANSFER"
-    request = Envelope(kind="WTILDE_TRANSFER", task="t", round=round_no,
-                       sender="alice", receiver="m",
-                       payload={"ids": ids, "matrix": np.zeros((rows, cols)),
-                                "b_hidden": np.zeros(b_len),
-                                "w_out": np.full(b_len, 0.1), "b_out": 0.0,
-                                "rate": 0.01, "batch": 2, "epochs": 1})
+    payload = {"ids": ids, "matrix": np.zeros((rows, cols)),
+               "b_hidden": np.zeros(b_len), "w_out": np.full(w_len, 0.1),
+               "b_out": 0.0, "rate": 0.01, "batch": 2, "epochs": 1}
     with caplog.at_level(logging.ERROR, logger="assistlearn"):
-        in_process = responder.answer(request)
-        over_wire = responder.answer(encode(request))
-    for reply in (in_process, over_wire):
-        assert reply.kind == "ERROR"
-        assert reply.payload["error"] == error
+        if schema:
+            _schema_refuses(responder, "WTILDE_TRANSFER", payload, error,
+                            round_no)
+        else:
+            request = Envelope(kind="WTILDE_TRANSFER", task="t",
+                               round=round_no, sender="alice", receiver="m",
+                               payload=payload)
+            for reply in (responder.answer(request),
+                          responder.answer(encode(request))):
+                assert (reply.kind, reply.payload["error"]) == ("ERROR",
+                                                                error)
     assert not caplog.records
     assert list(responder._nn["t"].snapshots) == [0]  # nothing trained
 
@@ -862,6 +899,40 @@ def test_a_repeated_labels_transfer_is_a_retry_or_a_conflict():
                               before)
 
 
+@pytest.mark.parametrize("kind, payload", [
+    ("PARTIAL_PREACT", {"ids": ["0000", "0001"], "matrix": np.ones((2, 5))}),
+    ("FIT_RESPONSE", {"ids": ["0000", "0001"], "values": np.ones(2)}),
+    ("PREDICT_RESPONSE", {"ids": ["0000", "0001"], "values": np.ones(2)}),
+    ("WTILDE_TRANSFER", {"b_hidden": np.zeros(3), "w_out": np.full(3, 0.1),
+                         "b_out": 0.0}),
+    ("LABELS_TRANSFER", {"own_cols": 2}),
+    ("ERROR", {"error": "StorageConflict"}),
+], ids=["PARTIAL_PREACT", "FIT_RESPONSE", "PREDICT_RESPONSE",
+        "WTILDE_TRANSFER", "LABELS_TRANSFER", "ERROR"])
+def test_a_reply_form_sent_as_a_request_is_refused(kind, payload, caplog):
+    """Also a PARTIAL_PREACT that carries a matrix, which is its reply."""
+    module = _module(seed=8)
+    responder = ModuleResponder(module)
+    setup = Envelope(kind="LABELS_TRANSFER", task="t", round=0,
+                     sender="alice", receiver="m",
+                     payload={"ids": list(module.partition.ids[:10]),
+                              "values": np.arange(10.0), "seed": 1,
+                              "hidden": 3, "peer_cols": 2})
+    assert responder.answer(setup).kind == "LABELS_TRANSFER"
+    request = Envelope(kind=kind, task="t", round=2, sender="alice",
+                       receiver="m", payload=payload)
+    with caplog.at_level(logging.ERROR, logger="assistlearn"):
+        for sent in (request, encode(request)):
+            reply = responder.answer(sent)
+            assert (reply.kind, reply.payload["error"]) == (
+                "ERROR", "MalformedMessage")
+    assert not caplog.records
+    assert list(responder._nn["t"].snapshots) == [0]
+    assert responder._nn["t"].setup is setup
+    assert not module.model_store and not responder._id_sets
+    assert request.is_reply and not setup.is_reply
+
+
 def test_inproc_endpoint_reports_module_id():
     module = _module(module_id="peer-9")
     assert InProcEndpoint(ModuleResponder(module)).module_id == "peer-9"
@@ -914,7 +985,8 @@ def _wire(payload):
     """A payload as ``_frame_line`` takes it: frames as bytes, with cols."""
     out = {}
     for name, value in payload.items():
-        if isinstance(value, np.ndarray):
+        if name in transport._FRAMES:
+            value = np.asarray(value, dtype=np.float64)
             if value.ndim == 2:
                 out["cols"] = value.shape[1]
             value = _f8(value.ravel())
@@ -953,6 +1025,8 @@ def test_every_kind_round_trips_to_an_equal_envelope(kind, form):
     message = encode(env)
     back = decode(message)
     assert back == env and not back != env
+    assert back.is_reply == env.is_reply == (kind in (
+        "FIT_RESPONSE", "PREDICT_RESPONSE", "PARTIAL_PREACT", "ERROR"))
     stream = io.BytesIO(message + message)  # two messages back to back
     for _ in range(2):
         assert decode(stream.readline(), stream) == env
@@ -992,25 +1066,17 @@ def test_envelopes_compare_float_fields_by_value():
 def test_ids_and_id_set_exclude_each_other(kind, both):
     id_field = {"ids": ["a", "b"], "id_set": _AB} if both else {}
     payload = _kind_payloads(id_field)[kind]
-    if kind == "WTILDE_TRANSFER" and not both:
-        # the reply form carries no ids; as a request the responder refuses
-        responder = ModuleResponder(_module())
-        setup = {**_kind_payloads({})["LABELS_TRANSFER"],
-                 "ids": ["0000", "0001"]}
-        assert responder.answer(Envelope(
-            kind="LABELS_TRANSFER", task="t", round=0, sender="alice",
-            receiver="m", payload=setup)).kind == "LABELS_TRANSFER"
-        reply = responder.answer(Envelope(
-            kind=kind, task="t", round=2, sender="alice", receiver="m",
-            payload=payload))
-        assert reply.payload["error"] == "MalformedMessage"
-        assert list(responder._nn["t"].snapshots) == [0]
-        return
-    with pytest.raises(err.MalformedMessage):
-        Envelope(kind=kind, task="t", round=2, sender="a", receiver="b",
-                 payload=payload)
+    # a set-up task, so a WTILDE_TRANSFER that got through would train
+    responder = ModuleResponder(_module())
+    setup = {**_kind_payloads({})["LABELS_TRANSFER"], "ids": ["0000", "0001"]}
+    assert responder.answer(Envelope(
+        kind="LABELS_TRANSFER", task="t", round=0, sender="alice",
+        receiver="m", payload=setup)).kind == "LABELS_TRANSFER"
+    _schema_refuses(responder, kind, payload, "MalformedMessage", round_no=2)
     with pytest.raises(err.MalformedMessage):
         decode(_frame_line(kind, _wire(payload), round_no=2))
+    assert list(responder._nn["t"].snapshots) == [0]
+    assert not responder.module.model_store and not responder._id_sets
 
 
 @pytest.mark.parametrize("digest", [
@@ -1029,9 +1095,11 @@ def test_malformed_digests_are_refused(digest):
 
 def test_labels_transfer_takes_no_id_set():
     payload = _kind_payloads({})["LABELS_TRANSFER"]
-    with pytest.raises(err.MalformedMessage):
-        Envelope(kind="LABELS_TRANSFER", task="t", round=0, sender="a",
-                 receiver="b", payload={**payload, "id_set": _AB})
+    no_ids = {k: v for k, v in payload.items() if k != "ids"}
+    for given in ({**payload, "id_set": _AB}, {**no_ids, "id_set": _AB}):
+        with pytest.raises(err.MalformedMessage):
+            Envelope(kind="LABELS_TRANSFER", task="t", round=0, sender="a",
+                     receiver="b", payload=given)
 
 
 def test_id_set_frames_are_checked_against_the_resolved_ids():
