@@ -9,6 +9,8 @@ lexicographically, so row order never depends on insertion order.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,6 +44,17 @@ def check_int(name: str, value, least=None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def check_real(name: str, value, above=None) -> float:
+    """``value`` as a float; ValueError unless it is a finite real number,
+    never a bool, and above ``above`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if above is not None and value <= above:
+        raise ValueError(f"{name} must be > {above}")
+    return float(value)
 
 
 def id_frame(ids: Sequence[SampleId]) -> bytes:

@@ -17,15 +17,17 @@ import hashlib
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (FeaturePartition, LocalModule, TaskLabels, derive_seed,
-                   vertical_split)
+from .core import (LocalModule, TaskLabels, check_int, check_real,
+                   derive_seed, vertical_split)
 from .data import SplitSpec, SyntheticSpec, generate, load_csv
 from .data import split as id_split
 from .data import split_counts
@@ -78,8 +80,12 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        for name, least in (("replications", 1), ("seed", None),
+                            ("epochs_per_round", 1), ("folds", 2)):
+            check_int(name, getattr(self, name), least)
+        for name in ("tol_rel", "holdout_fraction", "timeout"):
+            value = check_real(name, getattr(self, name))
+            object.__setattr__(self, name, value)
         if not self.groups:
             raise ValueError("need at least one feature group")
         if self.mode not in MODES:
@@ -110,38 +116,37 @@ class ExperimentConfig:
             for req in ("n_train", "n_test"):
                 if req not in self.data:
                     raise ValueError(f"synthetic data needs {req}")
+                check_int(f"data.{req}", self.data[req], 1)
+            check_int("data.extra_noise_features",
+                      self.data.get("extra_noise_features", 0), 0)
+        # replication 0's stage config checks the protocol block
+        _stage_config(self, derive_seed(self.seed, "rep", 0), self.patience)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Only the keys ``raw`` gives are passed on: every other field
+        keeps its dataclass default."""
         _check_keys(raw, _TOP_KEYS, "config")
-        proto = dict(raw.get("protocol", {}))
-        _check_keys(proto, _PROTOCOL_KEYS, "protocol")
+        kw = dict(raw.get("protocol", {}))
+        _check_keys(kw, _PROTOCOL_KEYS, "protocol")
         stack = dict(raw.get("stacking", {}))
         _check_keys(stack, {"meta", "folds"}, "stacking")
+        kw.update((k, raw[k]) for k in ("mode", "transport", "replications",
+                                        "seed", "output") if k in raw)
+        if "baselines" in raw:
+            kw["baselines"] = tuple(raw["baselines"])
+        if "cells" in raw:
+            kw["cells"] = tuple(dict(c) for c in raw["cells"])
+        if "meta" in stack:
+            kw["meta_learner"] = _parse_spec(stack["meta"])
+        if "folds" in stack:
+            kw["folds"] = stack["folds"]
         groups = tuple(tuple(g) for g in raw.get("groups", ()))
-        learners = _parse_learners(raw.get("learners", "least_squares"),
-                                   len(groups))
-        return cls(
-            name=str(raw.get("name", "experiment")),
-            data=dict(raw.get("data", {})),
-            groups=groups,
-            learners=learners,
-            mode=raw.get("mode", "residual_chain"),
-            transport=raw.get("transport", "inproc"),
-            max_rounds=int(proto.get("max_rounds", 25)),
-            patience=int(proto.get("patience", 3)),
-            tol_rel=float(proto.get("tol_rel", 1e-4)),
-            holdout_fraction=float(proto.get("holdout_fraction", 0.2)),
-            epochs_per_round=int(proto.get("epochs_per_round", 1)),
-            timeout=float(proto.get("timeout", 30.0)),
-            replications=int(raw.get("replications", 1)),
-            seed=int(raw.get("seed", 0)),
-            baselines=tuple(raw.get("baselines", ("solo", "oracle"))),
-            meta_learner=_parse_spec(stack.get("meta", "least_squares")),
-            folds=int(stack.get("folds", 5)),
-            cells=tuple(dict(c) for c in raw.get("cells", ())),
-            output=raw.get("output"),
-        )
+        return cls(name=str(raw.get("name", "experiment")),
+                   data=dict(raw.get("data", {})), groups=groups,
+                   learners=_parse_learners(raw.get("learners",
+                                                    "least_squares"),
+                                            len(groups)), **kw)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -292,10 +297,9 @@ def _metrics_dict(m: BaselineMetrics) -> dict:
 # data plumbing
 # ---------------------------------------------------------------------------
 
-def _make_data(config: ExperimentConfig, rep: int):
+def _make_data(config: ExperimentConfig, rep_seed: int):
     """One replication's dataset: (full partition, labels, train, test)."""
     d = config.data
-    rep_seed = derive_seed(config.seed, "rep", rep)
     if d["kind"] == "csv":
         part, labels = load_csv(d["path"], d.get("id_column", "id"),
                                 d.get("label_column", "y"))
@@ -306,46 +310,65 @@ def _make_data(config: ExperimentConfig, rep: int):
     coeff = d.get("coefficients")
     spec = SyntheticSpec(
         kind=d["kind"],
-        n=int(d["n_train"]) + int(d["n_test"]),
+        n=d["n_train"] + d["n_test"],
         noise_sd=float(d.get("noise_sd", 1.0)),
         seed=derive_seed(rep_seed, "data"),
         coefficients=tuple(coeff) if coeff is not None else None,
         correlation=float(d.get("correlation", 0.0)),
-        extra_noise_features=int(d.get("extra_noise_features", 0)))
+        extra_noise_features=d.get("extra_noise_features", 0))
     part, labels = generate(spec)
-    train_ids, test_ids = split_counts(part.ids, int(d["n_train"]),
+    train_ids, test_ids = split_counts(part.ids, d["n_train"],
                                        derive_seed(rep_seed, "split"))
     return part, labels, train_ids, test_ids
 
 
-def _build_modules(config: ExperimentConfig, full: FeaturePartition,
-                   learners: Sequence[LearnerSpec]):
-    """The group partitions, alice (first group) and her helpers."""
+def _stage_config(config: ExperimentConfig, seed: int, patience: int):
+    """The learning stage's config for one replication.
+
+    ``patience`` is ``max_rounds`` to trace the full curve, whose stopping
+    rule is applied afterwards, or ``config.patience`` to stop live. A split
+    network adds the net's knobs; its config carries every ProtocolConfig
+    field, so the chain's learning stage also reads it.
+    """
+    stage = ProtocolConfig(max_rounds=config.max_rounds, patience=patience,
+                           tol_rel=config.tol_rel,
+                           holdout_fraction=config.holdout_fraction,
+                           seed=seed, timeout=config.timeout)
+    if config.mode != "split_network":
+        return stage
+    net = config.learners[0].params
+    return NnConfig(**vars(stage), hidden=net["hidden"], rate=net["rate"],
+                    batch=net["batch"],
+                    epochs_per_round=config.epochs_per_round)
+
+
+@contextmanager
+def _setup(config: ExperimentConfig, rep: int,
+             learners: Sequence[LearnerSpec]):
+    """One replication's seed, data, modules and helper endpoints; TCP
+    servers, when asked for, stop when the block ends."""
+    seed = derive_seed(config.seed, "rep", rep)
+    full, labels, train_ids, test_ids = _make_data(config, seed)
     parts = vertical_split(full, [list(g) for g in config.groups])
     alice = LocalModule(module_id="alice", partition=parts[0],
                         learner=learners[0])
     helpers = [LocalModule(module_id=f"peer-{i}", partition=parts[i],
                            learner=learners[i])
                for i in range(1, len(parts))]
-    return parts, alice, helpers
-
-
-class _Endpoints:
-    """Endpoints for the helper modules; owns TCP servers when asked for."""
-
-    def __init__(self, helpers, transport: str):
-        self.servers = []
-        if transport == "tcp":
-            self.servers = [serve_module(m) for m in helpers]
-            self.endpoints = [s.endpoint() for s in self.servers]
-        else:
-            self.endpoints = [local_endpoint(m) for m in helpers]
-
-    def __enter__(self):
-        return self.endpoints
-
-    def __exit__(self, *exc_info):
-        for server, endpoint in zip(self.servers, self.endpoints):
+    servers = []
+    if config.transport == "tcp":
+        servers = [serve_module(m) for m in helpers]
+        endpoints = [s.endpoint() for s in servers]
+    else:
+        endpoints = [local_endpoint(m) for m in helpers]
+    try:
+        yield SimpleNamespace(
+            seed=seed, labels=labels, parts=parts, alice=alice,
+            endpoints=endpoints, train_ids=train_ids, test_ids=test_ids,
+            train=TaskLabels(ids=train_ids, values=labels.lookup(train_ids)),
+            y_test=labels.lookup(test_ids))
+    finally:
+        for server, endpoint in zip(servers, endpoints):
             endpoint.close()
             server.stop()
 
@@ -354,91 +377,52 @@ class _Endpoints:
 # single replication
 # ---------------------------------------------------------------------------
 
-def _replication_record(config, rep, train_ids, test_ids, rounds,
-                        curve_min_round) -> dict:
-    """Apply the stopping rule to the traced curve; score the chosen round."""
-    history = [row["validation_rmse"] for row in rounds]
+def _replication(config: ExperimentConfig, rep: int) -> dict:
+    """Trace one replication's round curve, apply the stopping rule to it,
+    score the chosen round and fit the baselines."""
+    task_id = f"{config.name}-rep{rep}"
+    with _setup(config, rep, config.learners) as r:
+        cfg = _stage_config(config, r.seed, config.max_rounds)
+        if config.mode == "split_network":
+            bob = r.endpoints[0]
+            task = run_nn_learning(r.alice, bob, r.train, cfg, task_id=task_id)
+            preds = [nn_predict(task, r.alice, bob, r.test_ids, upto=k,
+                                timeout=config.timeout)
+                     for k in range(1, len(task.validation_history) + 1)]
+            train_rmse = [None] * len(preds)
+            seconds = task.round_seconds
+        else:
+            task = run_learning_stage(r.alice, r.endpoints, r.train, cfg,
+                                      task_id=task_id)
+            preds = per_round_predictions(task, r.alice, r.endpoints,
+                                          r.test_ids, timeout=config.timeout)
+            train_rmse = [rms(rec.residual_after) for rec in task.records]
+            seconds = [rec.seconds for rec in task.records]
+    history = task.validation_history
+    rounds = [{"round": k, "train_rmse": train, "validation_rmse": val,
+               "test_rmse": rmse(r.y_test, pred),
+               "test_mad": mad(r.y_test, pred), "seconds": sec}
+              for k, (train, val, pred, sec)
+              in enumerate(zip(train_rmse, history, preds, seconds), 1)]
     stopped = stopped_round(history, config.patience, config.tol_rel)
     chosen = argmin_round(history[:stopped])
     at = rounds[chosen - 1]
     return {
         "replication": rep,
-        "n_train": len(train_ids),
-        "n_test": len(test_ids),
+        "n_train": len(r.train_ids),
+        "n_test": len(r.test_ids),
         "rounds": rounds,
         "chosen_round": chosen,
         "stopped_round": stopped,
-        "curve_min_round": curve_min_round,
+        "curve_min_round": task.best_round,
         "final": {"test_rmse": at["test_rmse"], "test_mad": at["test_mad"],
                   "train_rmse": at["train_rmse"]},
+        "baselines": _baselines(config, r.seed, r.parts, r.labels,
+                                r.train_ids, r.test_ids),
     }
 
 
-def _chain_replication(config, rep, full, labels, train_ids, test_ids):
-    rep_seed = derive_seed(config.seed, "rep", rep)
-    parts, alice, helpers = _build_modules(config, full, config.learners)
-    train_labels = TaskLabels(ids=train_ids, values=labels.lookup(train_ids))
-    y_test = labels.lookup(test_ids)
-    # patience = max_rounds disables live stopping: the full curve is traced
-    # and the stopping rule is evaluated on it afterwards.
-    trace_cfg = ProtocolConfig(max_rounds=config.max_rounds,
-                               patience=config.max_rounds,
-                               tol_rel=config.tol_rel,
-                               holdout_fraction=config.holdout_fraction,
-                               seed=rep_seed,
-                               timeout=config.timeout)
-    with _Endpoints(helpers, config.transport) as endpoints:
-        task = run_learning_stage(alice, endpoints, train_labels, trace_cfg,
-                                  task_id=f"{config.name}-rep{rep}")
-        curves = per_round_predictions(task, alice, endpoints, test_ids,
-                                       timeout=config.timeout)
-    rounds = []
-    for rec, row in zip(task.records, curves):
-        rounds.append({"round": rec.round,
-                       "train_rmse": rms(rec.residual_after),
-                       "validation_rmse": rec.validation_rmse,
-                       "test_rmse": rmse(y_test, row),
-                       "test_mad": mad(y_test, row),
-                       "seconds": rec.seconds})
-    return _replication_record(config, rep, train_ids, test_ids, rounds,
-                               task.best_round), parts
-
-
-def _nn_replication(config, rep, full, labels, train_ids, test_ids):
-    rep_seed = derive_seed(config.seed, "rep", rep)
-    parts, alice, helpers = _build_modules(config, full, config.learners)
-    bob = helpers[0]
-    train_labels = TaskLabels(ids=train_ids, values=labels.lookup(train_ids))
-    y_test = labels.lookup(test_ids)
-    net = config.learners[0].params
-    nn_cfg = NnConfig(hidden=net["hidden"], rate=net["rate"],
-                      batch=net["batch"],
-                      epochs_per_round=config.epochs_per_round,
-                      max_rounds=config.max_rounds,
-                      patience=config.max_rounds,  # trace the full curve
-                      tol_rel=config.tol_rel,
-                      holdout_fraction=config.holdout_fraction,
-                      seed=rep_seed, timeout=config.timeout)
-    with _Endpoints([bob], config.transport) as endpoints:
-        bob_ep = endpoints[0]
-        result = run_nn_learning(alice, bob_ep, train_labels, nn_cfg,
-                                 task_id=f"{config.name}-rep{rep}")
-        rounds = []
-        for k, val in enumerate(result.validation_history, start=1):
-            pred = nn_predict(result, alice, bob_ep, test_ids, upto=k,
-                              timeout=config.timeout)
-            rounds.append({"round": k,
-                           "train_rmse": None,
-                           "validation_rmse": val,
-                           "test_rmse": rmse(y_test, pred),
-                           "test_mad": mad(y_test, pred),
-                           "seconds": result.round_seconds[k - 1]})
-    return _replication_record(config, rep, train_ids, test_ids, rounds,
-                               result.best_round), parts
-
-
-def _baselines(config, rep, parts, labels, train_ids, test_ids) -> dict:
-    rep_seed = derive_seed(config.seed, "rep", rep)
+def _baselines(config, rep_seed, parts, labels, train_ids, test_ids) -> dict:
     split_pair = (train_ids, test_ids)
     out = {}
     if "solo" in config.baselines:
@@ -471,18 +455,9 @@ def run_experiment(config: ExperimentConfig,
     reps: list = []
     try:
         for rep in range(config.replications):
-            full, labels, train_ids, test_ids = _make_data(config, rep)
-            if config.mode == "split_network":
-                payload, parts = _nn_replication(
-                    config, rep, full, labels, train_ids, test_ids)
-            else:
-                payload, parts = _chain_replication(
-                    config, rep, full, labels, train_ids, test_ids)
-            payload["baselines"] = _baselines(config, rep, parts, labels,
-                                              train_ids, test_ids)
-            reps.append(payload)
+            reps.append(_replication(config, rep))
             log.info("replication %d/%d done (chosen round %d)", rep + 1,
-                     config.replications, payload["chosen_round"])
+                     config.replications, reps[-1]["chosen_round"])
     except Exception as exc:
         if out_dir is not None:
             partial = Report(config=config.to_dict(), replications=reps,
@@ -556,27 +531,17 @@ def compare_stacking(config: ExperimentConfig,
         al_scores = []
         stack_scores = []
         for rep in range(config.replications):
-            rep_seed = derive_seed(config.seed, "rep", rep)
-            full, labels, train_ids, test_ids = _make_data(config, rep)
-            parts, alice, helpers = _build_modules(config, full, al_specs)
-            train_labels = TaskLabels(ids=train_ids,
-                                      values=labels.lookup(train_ids))
-            live_cfg = ProtocolConfig(max_rounds=config.max_rounds,
-                                      patience=config.patience,
-                                      tol_rel=config.tol_rel,
-                                      holdout_fraction=config.holdout_fraction,
-                                      seed=rep_seed, timeout=config.timeout)
-            with _Endpoints(helpers, config.transport) as endpoints:
+            with _setup(config, rep, al_specs) as r:
                 task = run_learning_stage(
-                    alice, endpoints, train_labels, live_cfg,
+                    r.alice, r.endpoints, r.train,
+                    _stage_config(config, r.seed, config.patience),
                     task_id=f"{config.name}-{cell.get('name')}-rep{rep}")
-                pred = predict_stage(task, alice, endpoints, test_ids,
+                pred = predict_stage(task, r.alice, r.endpoints, r.test_ids,
                                      timeout=config.timeout)
-            y_test = labels.lookup(test_ids)
-            al_scores.append(rmse(y_test, pred))
-            stack = stacking_baseline(parts, labels, base_spec, meta_spec,
-                                      (train_ids, test_ids),
-                                      folds=config.folds, seed=rep_seed)
+            al_scores.append(rmse(r.y_test, pred))
+            stack = stacking_baseline(r.parts, r.labels, base_spec, meta_spec,
+                                      (r.train_ids, r.test_ids),
+                                      folds=config.folds, seed=r.seed)
             stack_scores.append(stack.test_rmse)
             log.info("cell %s rep %d: assisted %.4f stacking %.4f",
                      cell.get("name"), rep, al_scores[-1], stack_scores[-1])

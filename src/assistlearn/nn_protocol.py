@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align, check_int
+from .core import LocalModule, TaskLabels, align, check_int, check_real
 from .learners import dense_forward, dense_init, sgd_epochs
 from .metrics import rmse
 from .protocol import (Peer, ProtocolConfig, alice_rows, argmin_round,
@@ -67,10 +67,10 @@ class NetOptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
+        check_real("rate", self.rate, 0)
         check_int("batch", self.batch, 1)
         check_int("epochs", self.epochs, 1)
+        check_int("seed", self.seed, 0)  # LABELS_TRANSFER carries it
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import errors as err
-from .core import LocalModule, TaskLabels, align, check_int, derive_seed
+from .core import (LocalModule, TaskLabels, align, check_int, check_real,
+                   derive_seed)
 from .data import SplitSpec, split as id_split
 from .learners import LearnerSpec, fit_learner, predict
 from .metrics import mad, rms, rmse
@@ -84,6 +85,8 @@ class ProtocolConfig:
     def __post_init__(self):
         check_int("max_rounds", self.max_rounds, 1)
         check_int("patience", self.patience, 1)
+        check_int("seed", self.seed)
+        check_real("timeout", self.timeout, 0)
         if self.tol_rel < 0:
             raise ValueError("tol_rel must be >= 0")
         if not 0.0 <= self.holdout_fraction < 1.0:
@@ -200,15 +203,11 @@ def run_learning_stage(alice: LocalModule, assistants: Sequence,
     for round_no in range(1, config.max_rounds + 1):
         started = time.perf_counter()
         halfsteps = []
-        seed = derive_seed(alice.learner.params.get("seed", 0),
-                           task_id, alice.module_id, round_no)
-        model, fitted = fit_learner(alice.learner, X_train, residual,
-                                    seed=seed)
-        alice.record_model(task_id, round_no, model)
-        residual = residual - fitted
+        residual = assist_fit(alice, task_id, round_no, train_ids, residual,
+                              X_train)
         halfsteps.append(rms(residual))
         if hold_ids:
-            cum_hold += predict(model, X_hold)
+            cum_hold += predict(alice.stored_model(task_id, round_no), X_hold)
         for peer in peers:
             residual = peer.fit(round_no, train_ids, residual)
             halfsteps.append(rms(residual))

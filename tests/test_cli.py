@@ -99,6 +99,10 @@ def test_run_rejects_a_non_integer_learner_count(tmp_path, capsys):
     assert main(["run", "--config", _write_config(tmp_path, body)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "hidden must be an integer" in err
+    body = {**CHAIN_CONFIG, "protocol": {"max_rounds": 2.5}}
+    assert main(["run", "--config", _write_config(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "max_rounds must be an integer" in err
 
 
 def test_compare_stacking_prints_a_table(tmp_path, capsys):

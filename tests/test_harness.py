@@ -57,6 +57,18 @@ def test_from_dict_round_trips_through_to_dict():
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert cfg.learners == (LearnerSpec("least_squares"),) * 3
+    # reals become floats once; other fields keep the dataclass defaults
+    cfg = ExperimentConfig.from_dict(_chain_raw(
+        protocol={"tol_rel": 0, "holdout_fraction": 0, "timeout": 5}))
+    assert (repr(cfg.tol_rel), repr(cfg.holdout_fraction),
+            repr(cfg.timeout)) == ("0.0", "0.0", "5.0")
+    assert json.dumps(cfg.to_dict()["protocol"]["tol_rel"]) == "0.0"
+    defaults = ExperimentConfig.from_dict(
+        {"data": {"kind": "friedman1", "n_train": 8, "n_test": 4},
+         "groups": [["x1"]]})
+    assert defaults == ExperimentConfig(
+        name="experiment", data=defaults.data, groups=(("x1",),),
+        learners=(LearnerSpec("least_squares"),))
 
 
 def test_unknown_keys_are_rejected():
@@ -94,6 +106,26 @@ def test_config_validation_errors():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(
             _chain_raw(data={"kind": "linear", "n_train": 10}))
+    # counts and seeds are JSON integers, never truncated or cast
+    for bad in ({"protocol": {"max_rounds": 2.5}}, {"replications": True},
+                {"seed": 1.7}, {"protocol": {"patience": "3"}},
+                {"stacking": {"folds": 2.9}}, {"stacking": {"folds": 1}},
+                {"protocol": {"patience": 0}},
+                {"protocol": {"epochs_per_round": 0}},
+                {"data": {"kind": "linear", "n_train": 40.7, "n_test": 40,
+                          "coefficients": list(BETA)}},
+                {"data": {"kind": "friedman1", "n_train": 40, "n_test": 4.0}},
+                {"data": {"kind": "friedman1", "n_train": 40, "n_test": 20,
+                          "extra_noise_features": 1.5}},
+                {"protocol": {"tol_rel": "0.1"}},
+                {"protocol": {"holdout_fraction": None}},
+                {"protocol": {"timeout": 0}}, {"protocol": {"timeout": -1}}):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(_chain_raw(**bad))
+    # the split network's stage config is checked when the config loads
+    with pytest.raises(ValueError, match="rate"):
+        ExperimentConfig.from_dict(_nn_raw(learners={
+            "kind": "dense_net", "params": {"hidden": 8, "rate": True}}))
 
 
 def test_split_network_config_constraints():
@@ -263,6 +295,25 @@ def test_compare_stacking_table_and_rendering(tmp_path):
     text = format_table(table)
     assert "LR" in text and "assisted" in text and "stacking" in text
     assert (tmp_path / "stacking.json").exists()
+
+
+def test_compare_stacking_scores_the_round_run_experiment_chose():
+    """Stopping live by the patience rule picks the round the traced curve
+    picks after the fact; least squares ignores the task id's seeds."""
+    raw = _chain_raw(seed=6, replications=2,
+                     protocol={"max_rounds": 8, "patience": 2},
+                     cells=[{"name": "LR", "al": "least_squares",
+                             "base": "least_squares",
+                             "meta": "least_squares"}])
+    cfg = ExperimentConfig.from_dict(raw)
+    reps = run_experiment(cfg).replications
+    assisted = compare_stacking(cfg)["cells"][0]["assisted"]["values"]
+    # a stage that ran on to max_rounds would score the curve's minimum
+    assert any(r["stopped_round"] < 8
+               and r["chosen_round"] != r["curve_min_round"] for r in reps)
+    for rep, value in zip(reps, assisted, strict=True):
+        want = rep["final"]["test_rmse"]
+        assert abs(value - want) <= 1e-12 * want
 
 
 def test_compare_stacking_requires_cells():

@@ -46,11 +46,16 @@ def test_shared_weights_validation():
 
 def test_opt_config_validation():
     for bad in ({"rate": 0.0}, {"batch": 0}, {"epochs": 0},
-                {"epochs": 1.5}, {"batch": True}):
+                {"epochs": 1.5}, {"batch": True}, {"rate": True},
+                {"rate": "0.1"}, {"rate": float("nan")},
+                {"rate": float("inf")}, {"seed": 1.5}, {"seed": -1}):
         with pytest.raises(ValueError):
             NetOptConfig(**bad)
     for bad in ({"hidden": 0}, {"hidden": 2.5}, {"batch": 1.5},
-                {"max_rounds": 3.0}, {"epochs_per_round": 1.5}):
+                {"max_rounds": 3.0}, {"epochs_per_round": 1.5},
+                {"seed": 1.5, "rate": True}, {"seed": 1.5}, {"seed": -1},
+                {"rate": True}, {"rate": -0.1}, {"timeout": 0},
+                {"timeout": -1}):
         with pytest.raises(ValueError):
             NnConfig(**bad)
     assert NnConfig(hidden=np.int64(4), batch=np.int32(8)).opt().batch == 8

@@ -325,7 +325,9 @@ def test_stacking_accepts_per_partition_spec_lists():
 
 def test_config_validation():
     for bad in ({"max_rounds": 0}, {"patience": 0}, {"max_rounds": 2.5},
-                {"patience": True}, {"max_rounds": "3"}):
+                {"patience": True}, {"max_rounds": "3"}, {"seed": "x"},
+                {"seed": 1.5}, {"seed": None}, {"timeout": 0},
+                {"timeout": -1}, {"timeout": True}, {"timeout": "5"}):
         with pytest.raises(ValueError):
             ProtocolConfig(**bad)
     assert ProtocolConfig(max_rounds=np.int64(3), patience=np.int32(1)) \
