@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeaturePartition, TaskLabels
+from .core import FeaturePartition, TaskLabels, check_int, check_real
 from .errors import DuplicateId, MissingColumn, NonNumericCell
 
 _ID_WIDTH = 8
@@ -39,17 +39,21 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("friedman1", "linear"):
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_int("n", self.n, 1)
+        check_int("seed", self.seed)
+        check_int("extra_noise_features", self.extra_noise_features, 0)
+        for name in ("noise_sd", "correlation"):
+            object.__setattr__(self, name,
+                               check_real(name, getattr(self, name)))
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError("correlation must be in [0, 1)")
-        if self.extra_noise_features < 0:
-            raise ValueError("extra_noise_features must be >= 0")
+        if self.kind == "linear" and not self.coefficients:
+            raise ValueError("linear data needs at least one coefficient")
         if self.coefficients is not None:
-            object.__setattr__(self, "coefficients",
-                               tuple(float(c) for c in self.coefficients))
+            object.__setattr__(self, "coefficients", tuple(
+                check_real("coefficients", c) for c in self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,8 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "fraction",
+                           check_real("fraction", self.fraction))
         if not 0.0 < self.fraction < 1.0:
             raise ValueError("fraction must be in (0, 1)")
 
@@ -100,12 +106,8 @@ def gen_linear(spec: SyntheticSpec) -> tuple[FeaturePartition, TaskLabels]:
     rho>0) hold in the sample itself, which the convergence guarantees of the
     residual chain are about. For n <= p the raw draw is returned.
     """
-    if spec.coefficients is None:
-        raise ValueError("gen_linear needs coefficients")
     beta = np.asarray(spec.coefficients, dtype=np.float64)
     p = beta.shape[0]
-    if p < 1:
-        raise ValueError("need at least one coefficient")
     n = spec.n
     rng = np.random.default_rng(spec.seed)
     G = rng.standard_normal((n, p))

@@ -117,10 +117,10 @@ class ExperimentConfig:
                 if req not in self.data:
                     raise ValueError(f"synthetic data needs {req}")
                 check_int(f"data.{req}", self.data[req], 1)
-            check_int("data.extra_noise_features",
-                      self.data.get("extra_noise_features", 0), 0)
-        # replication 0's stage config checks the protocol block
-        _stage_config(self, derive_seed(self.seed, "rep", 0), self.patience)
+        # replication 0's specs check the data and protocol blocks
+        rep0 = derive_seed(self.seed, "rep", 0)
+        _data_spec(self, rep0)
+        _stage_config(self, rep0, self.patience)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -297,29 +297,34 @@ def _metrics_dict(m: BaselineMetrics) -> dict:
 # data plumbing
 # ---------------------------------------------------------------------------
 
+def _data_spec(config: ExperimentConfig,
+               rep_seed: int) -> SyntheticSpec | SplitSpec:
+    """One replication's data recipe: a SyntheticSpec, or for CSV data the
+    SplitSpec of its train fraction."""
+    d = config.data
+    if d["kind"] == "csv":
+        return SplitSpec(fraction=d.get("train_fraction", 0.8),
+                         seed=derive_seed(rep_seed, "split"))
+    coeff = d.get("coefficients")
+    return SyntheticSpec(
+        kind=d["kind"], n=d["n_train"] + d["n_test"],
+        noise_sd=d.get("noise_sd", 1.0), seed=derive_seed(rep_seed, "data"),
+        coefficients=tuple(coeff) if coeff is not None else None,
+        correlation=d.get("correlation", 0.0),
+        extra_noise_features=d.get("extra_noise_features", 0))
+
+
 def _make_data(config: ExperimentConfig, rep_seed: int):
     """One replication's dataset: (full partition, labels, train, test)."""
     d = config.data
-    if d["kind"] == "csv":
+    spec = _data_spec(config, rep_seed)
+    if isinstance(spec, SplitSpec):
         part, labels = load_csv(d["path"], d.get("id_column", "id"),
                                 d.get("label_column", "y"))
-        train_ids, test_ids = id_split(
-            part.ids, SplitSpec(fraction=float(d.get("train_fraction", 0.8)),
-                                seed=derive_seed(rep_seed, "split")))
-        return part, labels, train_ids, test_ids
-    coeff = d.get("coefficients")
-    spec = SyntheticSpec(
-        kind=d["kind"],
-        n=d["n_train"] + d["n_test"],
-        noise_sd=float(d.get("noise_sd", 1.0)),
-        seed=derive_seed(rep_seed, "data"),
-        coefficients=tuple(coeff) if coeff is not None else None,
-        correlation=float(d.get("correlation", 0.0)),
-        extra_noise_features=d.get("extra_noise_features", 0))
+        return (part, labels, *id_split(part.ids, spec))
     part, labels = generate(spec)
-    train_ids, test_ids = split_counts(part.ids, d["n_train"],
-                                       derive_seed(rep_seed, "split"))
-    return part, labels, train_ids, test_ids
+    return (part, labels, *split_counts(part.ids, d["n_train"],
+                                        derive_seed(rep_seed, "split")))
 
 
 def _stage_config(config: ExperimentConfig, seed: int, patience: int):
@@ -327,8 +332,7 @@ def _stage_config(config: ExperimentConfig, seed: int, patience: int):
 
     ``patience`` is ``max_rounds`` to trace the full curve, whose stopping
     rule is applied afterwards, or ``config.patience`` to stop live. A split
-    network adds the net's knobs; its config carries every ProtocolConfig
-    field, so the chain's learning stage also reads it.
+    network adds the net's knobs.
     """
     stage = ProtocolConfig(max_rounds=config.max_rounds, patience=patience,
                            tol_rel=config.tol_rel,
@@ -505,7 +509,7 @@ def _summarize(reps: list) -> dict:
 
 def compare_stacking(config: ExperimentConfig,
                      out_dir: Optional[str] = None) -> dict:
-    """Assisted runs vs stacking for each configured cell.
+    """Assisted residual chains vs stacking for each configured cell.
 
     Every cell names the learner family for both methods, e.g.::
 
@@ -517,6 +521,9 @@ def compare_stacking(config: ExperimentConfig,
     """
     if not config.cells:
         raise ValueError("compare_stacking needs a non-empty cells list")
+    if config.mode != "residual_chain":
+        raise ValueError("compare_stacking compares residual chains, "
+                         f"not {config.mode}")
     started = time.perf_counter()
     out_dir = out_dir if out_dir is not None else config.output
     table = {"name": config.name, "replications": config.replications,

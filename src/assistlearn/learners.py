@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import check_int, derive_seed
+from .core import check_int, check_real, derive_seed
 from .errors import DimensionMismatch, NonFiniteLoss
 
 LEARNER_KINDS = ("least_squares", "ridge", "regression_tree",
@@ -97,7 +97,8 @@ class LearnerSpec:
 _AT_LEAST = {"lam": 0, "stages": 1, "max_depth": 1, "min_leaf": 1,
              "hidden": 1, "batch": 1, "epochs": 0}
 _ABOVE = {"shrinkage": 0, "rate": 0}
-_INTEGER = {*_AT_LEAST, "seed"} - {"lam"}  # counts, depths and seeds
+_REAL = {"lam", *_ABOVE}  # finite real numbers
+_INTEGER = {*_AT_LEAST, "seed"} - _REAL  # counts, depths and seeds
 
 
 def _check_params(p: dict) -> None:
@@ -105,10 +106,10 @@ def _check_params(p: dict) -> None:
     for key, value in p.items():
         if key in _INTEGER:
             check_int(key, value)
+        if key in _REAL:
+            check_real(key, value, _ABOVE.get(key))
         if key in _AT_LEAST and value < _AT_LEAST[key]:
             raise ValueError(f"{key} must be >= {_AT_LEAST[key]}")
-        if key in _ABOVE and value <= _ABOVE[key]:
-            raise ValueError(f"{key} must be > {_ABOVE[key]}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ Both parties derive the full input-weight init from the shared task seed and
 keep their own row block, so nothing about the init needs transmitting; they
 exchange column counts (plain scalars) once during setup.
 
-Alice reaches Bob only through an endpoint (in process or TCP), and Bob's
-input block never leaves him: Alice keeps her block and the shared remainder
-for every executed round, and asks Bob for his partial at a given round.
+Alice reaches Bob only through an endpoint (in process or TCP) and keeps
+her block and the shared remainder for every executed round. Bob's responder
+keeps a ``PartnerTask`` per task, which holds his labels and his block after
+each round, never sent, and applies the rules of his rounds.
 
 A partner with zero columns degenerates to Alice training an ordinary dense
 net: every round is hers and the arithmetic matches fit_dense_net exactly.
@@ -74,26 +75,18 @@ class NetOptConfig:
 
 
 @dataclass(frozen=True)
-class NnConfig:
-    """Orchestrator knobs for split-network training."""
+class NnConfig(ProtocolConfig):
+    """The chain's protocol knobs, with more rounds, and the net's knobs."""
 
+    max_rounds: int = 50
     hidden: int = 16
     rate: float = 0.01
     batch: int = 32
     epochs_per_round: int = 1
-    max_rounds: int = 50
-    patience: int = 3
-    tol_rel: float = 1e-4
-    holdout_fraction: float = 0.2
-    seed: int = 0
-    timeout: float = 30.0
 
     def __post_init__(self):
         check_int("hidden", self.hidden, 1)
-        ProtocolConfig(max_rounds=self.max_rounds, patience=self.patience,
-                       tol_rel=self.tol_rel,
-                       holdout_fraction=self.holdout_fraction,
-                       seed=self.seed, timeout=self.timeout)
+        super().__post_init__()
         self.opt()
 
     def opt(self) -> NetOptConfig:
@@ -154,6 +147,62 @@ def bob_update_round(w_bob, round_no: int, X_bob, alice_partial, y,
     return _update_party(np.asarray(X_bob, dtype=np.float64), alice_partial,
                          np.asarray(y), np.asarray(w_bob, dtype=np.float64),
                          shared, opt, round_no)
+
+
+class PartnerTask:
+    """Bob's half of one task: set-up, labels and ``snapshots`` by round."""
+
+    def __init__(self, setup, own_cols: int):
+        p = setup.payload
+        w_in = dense_init(p["peer_cols"] + own_cols, p["hidden"], p["seed"])[0]
+        self.setup = setup
+        self.labels = TaskLabels(ids=p["ids"], values=p["values"])
+        self.snapshots = {0: w_in[p["peer_cols"]:]}
+
+    @classmethod
+    def open(cls, tasks: dict, setup, own_cols: int) -> None:
+        """Add the task to ``tasks``; a changed setup is StorageConflict."""
+        if setup.task not in tasks:
+            tasks[setup.task] = cls(setup, own_cols)
+        elif setup != tasks[setup.task].setup:
+            raise err.StorageConflict(
+                f"task {setup.task!r} already has a different setup")
+
+    def weights_at(self, round_no: int) -> np.ndarray:
+        usable = [k for k in self.snapshots if k <= round_no]
+        if not usable:
+            raise err.UnknownRound(f"no weights at round {round_no}")
+        return self.snapshots[max(usable)]
+
+    def block_for(self, round_no: int) -> np.ndarray:
+        """The latest block; ``round_no`` must be the even round after it."""
+        if round_no % 2:
+            raise err.MalformedMessage(f"round {round_no} is Alice's")
+        latest = max(self.snapshots)
+        if round_no <= latest:
+            raise err.StorageConflict(
+                f"round {round_no} is done; the latest is {latest}")
+        if round_no > latest + 2:
+            raise err.UnknownRound(
+                f"round {round_no} needs round {round_no - 2}'s block; "
+                f"the latest is {latest}")
+        return self.snapshots[latest]
+
+    def update(self, round_no: int, ids, X, p: dict) -> dict:
+        """Bob's round on his rows ``X``; returns the new shared remainder."""
+        weights = self.block_for(round_no)
+        width = weights.shape[1]
+        if (p["matrix"].shape, p["b_hidden"].shape) \
+                != ((len(ids), width), (width,)):
+            raise err.ShapeMismatch(f"shapes do not fit hidden width {width}")
+        y = self.labels.lookup(ids)
+        shared = SharedWeights(b_hidden=p["b_hidden"], w_out=p["w_out"],
+                               b_out=p["b_out"])
+        opt = NetOptConfig(rate=p["rate"], batch=p["batch"],
+                           epochs=p["epochs"], seed=self.setup.payload["seed"])
+        self.snapshots[round_no], shared = bob_update_round(
+            weights, round_no, X, p["matrix"], y, shared, opt)
+        return vars(shared)
 
 
 # ---------------------------------------------------------------------------

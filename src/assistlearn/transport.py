@@ -40,7 +40,9 @@ failure into an ERROR reply; ``InProcEndpoint`` calls it directly and
 ``TcpModuleServer``, the standard library's threaded TCP server, calls it
 once per message; a ``TcpEndpoint`` sends its requests one at a time over
 one kept connection. Fit requests go to ``protocol.assist_fit(module,
-task_id, round_no, ids, values, X)``, which returns the residual array.
+task_id, round_no, ids, values, X)``, which returns the residual array. The
+split network's requests go to the task's ``nn_protocol.PartnerTask``, which
+holds Bob's state and rules; the responder keeps only its ids and lock.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core, errors as err
-from .core import LocalModule, TaskLabels
+from .core import LocalModule
 
 log = logging.getLogger("assistlearn")
 
@@ -402,16 +404,16 @@ def decode(data, stream=None) -> Envelope:
 class ModuleResponder:
     """Serves a LocalModule's share of the protocol.
 
-    Handles fit/predict for the residual chain and the partner half of the
-    split-network rounds. Requests for the same task are serialized with a
-    per-task lock; distinct tasks may be served concurrently.
+    Handles fit/predict for the residual chain and, through a PartnerTask
+    per task, Bob's split-network rounds. Requests for the same task are
+    serialized with a per-task lock; distinct tasks may be served at once.
     """
 
     def __init__(self, module: LocalModule):
         self.module = module
         self._locks: dict[str, threading.Lock] = {}
         self._guard = threading.Lock()
-        self._nn: dict[str, "_NnTaskService"] = {}
+        self._nn: dict = {}  # task -> nn_protocol.PartnerTask
         # (task, digest) -> (ids, read-only rows), least recently used first
         self._id_sets: OrderedDict = OrderedDict()
         self._id_set_size = 0
@@ -514,84 +516,33 @@ class ModuleResponder:
     # -- split-network partner duties ------------------------------------
 
     def _labels(self, env: Envelope) -> Envelope:
-        from .learners import dense_init
-        p = env.payload
+        from .nn_protocol import PartnerTask
         own_cols = self.module.partition.n_cols
-        known = self._nn.get(env.task)
-        if known is not None:
-            # a retry of the first setup keeps the state; any other is refused
-            if env != known.setup:
-                raise err.StorageConflict(
-                    f"task {env.task!r} already has a different setup")
-            return self._reply(env, "LABELS_TRANSFER", {"own_cols": own_cols})
-        labels = TaskLabels(ids=p["ids"], values=p["values"])
-        w_in, _, _, _ = dense_init(p["peer_cols"] + own_cols, p["hidden"],
-                                   p["seed"])
-        self._nn[env.task] = _NnTaskService(
-            setup=env, labels=labels, seed=p["seed"],
-            snapshots={0: w_in[p["peer_cols"]:]})
+        PartnerTask.open(self._nn, env, own_cols)
         return self._reply(env, "LABELS_TRANSFER", {"own_cols": own_cols})
 
-    def _service(self, task: str) -> "_NnTaskService":
+    def _partner(self, task: str):
         try:
             return self._nn[task]
         except KeyError:
             raise err.UnknownRound(f"no network state for task {task!r}") from None
 
     def _partial(self, env: Envelope) -> Envelope:
-        svc = self._service(env.task)
+        bob = self._partner(env.task)
         _, X, echo = self._id_rows(env)
         return self._reply(env, "PARTIAL_PREACT",
-                           {**echo, "matrix": X @ svc.weights_at(env.round)})
+                           {**echo, "matrix": X @ bob.weights_at(env.round)})
 
     def _wtilde(self, env: Envelope) -> Envelope:
-        from .nn_protocol import NetOptConfig, SharedWeights, bob_update_round
-        svc = self._service(env.task)
-        p = env.payload
-        # the peer's round and shapes are checked before any arithmetic
-        if env.round % 2:
-            raise err.MalformedMessage(f"round {env.round} is Alice's")
-        latest = max(svc.snapshots)
-        if env.round <= latest:
-            raise err.StorageConflict(
-                f"round {env.round} is done; the latest is {latest}")
-        if env.round > latest + 2:
-            raise err.UnknownRound(
-                f"round {env.round} needs round {env.round - 2}'s block; "
-                f"the latest is {latest}")
-        weights = svc.snapshots[latest]
-        width = weights.shape[1]
+        bob = self._partner(env.task)
+        bob.block_for(env.round)  # checked before any id is cached
         ids, X, _ = self._id_rows(env)
-        if (p["matrix"].shape, p["b_hidden"].shape) \
-                != ((len(ids), width), (width,)):
-            raise err.ShapeMismatch(f"shapes do not fit hidden width {width}")
-        y = svc.labels.lookup(ids)
-        shared = SharedWeights(b_hidden=p["b_hidden"], w_out=p["w_out"],
-                               b_out=p["b_out"])
-        opt = NetOptConfig(rate=p["rate"], batch=p["batch"],
-                           epochs=p["epochs"], seed=svc.seed)
-        w_new, shared_new = bob_update_round(weights, env.round, X,
-                                             p["matrix"], y, shared, opt)
-        svc.snapshots[env.round] = w_new
-        return self._reply(env, "WTILDE_TRANSFER", vars(shared_new))
+        return self._reply(env, "WTILDE_TRANSFER",
+                           bob.update(env.round, ids, X, env.payload))
 
     _SERVE = {"FIT_REQUEST": _fit, "PREDICT_REQUEST": _predict,
               "LABELS_TRANSFER": _labels, "PARTIAL_PREACT": _partial,
               "WTILDE_TRANSFER": _wtilde}
-
-
-@dataclass
-class _NnTaskService:
-    setup: Envelope  # the LABELS_TRANSFER request that created the state
-    labels: TaskLabels
-    seed: int
-    snapshots: dict  # round (completed) -> own input-weight block
-
-    def weights_at(self, round_no: int) -> np.ndarray:
-        usable = [k for k in self.snapshots if k <= round_no]
-        if not usable:
-            raise err.UnknownRound(f"no weights at round {round_no}")
-        return self.snapshots[max(usable)]
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,24 @@ def test_config_validation_errors():
                 {"protocol": {"timeout": 0}}, {"protocol": {"timeout": -1}}):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict(_chain_raw(**bad))
+    # the data block is checked when the config loads, not when a
+    # replication first builds its data
+    for data in ({"kind": "linear", "n_train": 10, "n_test": 5},
+                 {"kind": "linear", "n_train": 10, "n_test": 5,
+                  "coefficients": []},
+                 {"kind": "friedman1", "n_train": 10, "n_test": 5,
+                  "noise_sd": -1},
+                 {"kind": "friedman1", "n_train": 10, "n_test": 5,
+                  "noise_sd": "x"},
+                 {"kind": "friedman1", "n_train": 10, "n_test": 5,
+                  "noise_sd": float("nan")},
+                 {"kind": "linear", "n_train": 10, "n_test": 5,
+                  "coefficients": list(BETA), "correlation": 1.5},
+                 {"kind": "csv", "path": "absent.csv", "train_fraction": 1.0},
+                 {"kind": "csv", "path": "absent.csv",
+                  "train_fraction": "0.5"}):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(_chain_raw(data=data))
     # the split network's stage config is checked when the config loads
     with pytest.raises(ValueError, match="rate"):
         ExperimentConfig.from_dict(_nn_raw(learners={
@@ -325,3 +343,8 @@ def test_compare_stacking_requires_cells():
                            "oops": "y"}]))
     with pytest.raises(ValueError, match="unknown keys"):
         compare_stacking(bad)
+    # a split network's config is refused before anything runs
+    split = ExperimentConfig.from_dict(
+        _nn_raw(cells=[{"name": "LR", "al": "least_squares"}]))
+    with pytest.raises(ValueError, match="residual chains"):
+        compare_stacking(split)

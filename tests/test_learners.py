@@ -677,6 +677,32 @@ def test_counts_and_seeds_must_be_integers(kind, fit, name, bad):
     assert str(from_fit.value) == str(from_spec.value)
 
 
+# (kind, fit function, a parameter that must be a finite real number)
+_REAL_PARAMS = [
+    ("ridge", fit_least_squares, "lam"),
+    ("gradient_boosting", fit_gradient_boosting, "shrinkage"),
+    ("dense_net", fit_dense_net, "rate"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, "0.1"],
+                         ids=["bool", "nan", "inf", "str"])
+@pytest.mark.parametrize("kind, fit, name", _REAL_PARAMS,
+                         ids=[f"{b[0]}-{b[2]}" for b in _REAL_PARAMS])
+def test_rates_and_penalties_must_be_finite_numbers(kind, fit, name, bad):
+    X = np.arange(12.0).reshape(6, 2)
+    y = np.arange(6.0)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number") \
+            as from_spec:
+        LearnerSpec(kind, {name: bad})
+    with pytest.raises(ValueError) as from_fit:
+        fit(X, y, **{name: bad})
+    assert str(from_fit.value) == str(from_spec.value)
+    if isinstance(bad, float):  # the CLI form parses nan and inf as floats
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            LearnerSpec.from_string(f"{kind}:{name}={bad}")
+
+
 def test_spec_strings_with_fractional_counts_are_refused():
     for text in ("dense_net:hidden=16.0", "dense_net:batch=8.5",
                  "dense_net:epochs=2.0", "dense_net:seed=1.5",

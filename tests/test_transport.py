@@ -821,6 +821,8 @@ def test_wtilde_rejects_bad_rounds_and_shapes_before_training(
                                                                 error)
     assert not caplog.records
     assert list(responder._nn["t"].snapshots) == [0]  # nothing trained
+    if round_no % 2:  # the round is refused before any id is cached
+        assert not responder._id_sets
 
 
 def test_an_out_of_order_wtilde_transfer_changes_nothing(caplog):
